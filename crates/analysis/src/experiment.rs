@@ -1,4 +1,4 @@
-//! Experiment specification, per-trial execution and (parallel) sweeps.
+//! Experiment points, per-trial execution and sweep aggregation.
 //!
 //! The unit of work is a **trial**: one `(ExperimentPoint, repetition, seed)`
 //! execution producing a [`TrialRecord`]. An [`ExperimentPoint`] is a
@@ -12,9 +12,8 @@
 use crate::json::Json;
 use crate::scenario_json::{legacy_point_to_scenario, scenario_from_json, scenario_to_json};
 use crate::stats::Summary;
-use disp_core::scenario::{Registry, ScenarioSpec};
-use disp_sim::Outcome;
-use std::thread;
+use disp_core::scenario::{Observe, Registry, ScenarioError, ScenarioSpec};
+use disp_sim::{Outcome, RunError, Timeline, WorldPool};
 
 /// One point of a sweep: a scenario measured over several repetitions.
 #[derive(Debug, Clone)]
@@ -69,13 +68,6 @@ pub struct Measurement {
     pub all_dispersed: bool,
 }
 
-/// A sweep over several points.
-#[derive(Debug, Clone, Default)]
-pub struct ExperimentSpec {
-    /// The points to measure.
-    pub points: Vec<ExperimentPoint>,
-}
-
 impl PartialEq for ExperimentPoint {
     fn eq(&self, other: &Self) -> bool {
         self.scenario == other.scenario && self.repetitions == other.repetitions
@@ -115,83 +107,48 @@ impl ExperimentPoint {
     /// grids are validated up front, so hitting this means the grid
     /// construction is buggy, not the input.
     pub fn run_trial(&self, registry: &Registry, rep: usize, seed: u64) -> TrialRecord {
-        self.run_trial_pooled(registry, rep, seed, &mut disp_sim::WorldPool::new())
+        self.run_trial_observed(registry, rep, seed, &mut WorldPool::new(), None)
+            .0
     }
 
-    /// [`ExperimentPoint::run_trial`] with a [`disp_sim::WorldPool`]: the
-    /// trial's world is built from (and returned to) the pool, so a batch
-    /// of small trials sharing one pool allocates world buffers only once.
-    /// Records are byte-identical to [`ExperimentPoint::run_trial`] of the
-    /// same seed — the pool contract is state identity.
-    pub fn run_trial_pooled(
+    /// The one trial path behind [`ExperimentPoint::run_trial`], through
+    /// [`ScenarioSpec::run_observed`]: the world is built from (and
+    /// returned to) `pool`, so a batch of small trials sharing one pool
+    /// allocates world buffers only once, and with a `timeline_budget` the
+    /// flight recorder is attached and the run's [`Timeline`] is returned
+    /// beside the record. The record is byte-identical to
+    /// [`ExperimentPoint::run_trial`] of the same seed — pooling is state
+    /// identity and recording is observation, never content. A
+    /// limit-exceeded run keeps its faithful partial record but returns no
+    /// timeline.
+    pub fn run_trial_observed(
         &self,
         registry: &Registry,
         rep: usize,
         seed: u64,
-        pool: &mut disp_sim::WorldPool,
-    ) -> TrialRecord {
-        use disp_core::scenario::ScenarioError;
-        use disp_core::scenario::ScenarioReport;
-        use disp_sim::RunError;
-        let report = self
+        pool: &mut WorldPool,
+        timeline_budget: Option<usize>,
+    ) -> (TrialRecord, Option<Timeline>) {
+        let observe = Observe {
+            trace_cap: None,
+            timeline_budget,
+        };
+        let (outcome, dispersed, timeline) = match self
             .scenario
-            .run_pooled(registry, seed, pool)
-            .unwrap_or_else(|e| match e {
-                ScenarioError::Run(RunError::LimitExceeded { outcome }) => ScenarioReport {
-                    scenario: self.scenario.label(),
-                    outcome,
-                    dispersed: false,
-                },
-                other => panic!("scenario '{}': {other}", self.scenario.label()),
-            });
-        TrialRecord {
+            .run_observed(registry, seed, pool, observe)
+        {
+            Ok(run) => (run.report.outcome, run.report.dispersed, run.timeline),
+            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (outcome, false, None),
+            Err(other) => panic!("scenario '{}': {other}", self.scenario.label()),
+        };
+        let record = TrialRecord {
             point: self.clone(),
             rep,
             seed,
-            outcome: report.outcome,
-            dispersed: report.dispersed,
-        }
-    }
-
-    /// [`ExperimentPoint::run_trial`] with the flight recorder attached:
-    /// returns the record together with the run's
-    /// [`Timeline`](disp_sim::Timeline) (settled/active/role counts at
-    /// round/epoch boundaries, decimated into `budget` points). The record
-    /// is byte-identical to [`ExperimentPoint::run_trial`] of the same
-    /// seed — recording is observation, never content. A limit-exceeded
-    /// run keeps its faithful partial record but returns no timeline.
-    pub fn run_trial_with_timeline(
-        &self,
-        registry: &Registry,
-        rep: usize,
-        seed: u64,
-        budget: usize,
-    ) -> (TrialRecord, Option<disp_sim::Timeline>) {
-        use disp_core::scenario::ScenarioError;
-        use disp_sim::RunError;
-        match self.scenario.run_with_timeline(registry, seed, budget) {
-            Ok((report, timeline)) => (
-                TrialRecord {
-                    point: self.clone(),
-                    rep,
-                    seed,
-                    outcome: report.outcome,
-                    dispersed: report.dispersed,
-                },
-                Some(timeline),
-            ),
-            Err(ScenarioError::Run(RunError::LimitExceeded { outcome })) => (
-                TrialRecord {
-                    point: self.clone(),
-                    rep,
-                    seed,
-                    outcome,
-                    dispersed: false,
-                },
-                None,
-            ),
-            Err(other) => panic!("scenario '{}': {other}", self.scenario.label()),
-        }
+            outcome,
+            dispersed,
+        };
+        (record, timeline)
     }
 
     /// Run this point's repetitions (with the legacy fixed seed schedule)
@@ -333,48 +290,6 @@ impl Measurement {
     }
 }
 
-impl ExperimentSpec {
-    /// Run every point sequentially.
-    pub fn run(&self, registry: &Registry) -> Vec<Measurement> {
-        self.points.iter().map(|p| p.measure(registry)).collect()
-    }
-
-    /// Run the points across `threads` OS threads (order of results matches
-    /// the order of points).
-    pub fn run_parallel(&self, registry: &Registry, threads: usize) -> Vec<Measurement> {
-        let threads = threads.max(1);
-        if threads == 1 || self.points.len() <= 1 {
-            return self.run(registry);
-        }
-        let chunks: Vec<Vec<(usize, ExperimentPoint)>> = {
-            let mut chunks = vec![Vec::new(); threads];
-            for (i, p) in self.points.iter().enumerate() {
-                chunks[i % threads].push((i, p.clone()));
-            }
-            chunks
-        };
-        let mut indexed: Vec<(usize, Measurement)> = thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .map(|chunk| {
-                    scope.spawn(move || {
-                        chunk
-                            .into_iter()
-                            .map(|(i, p)| (i, p.measure(registry)))
-                            .collect::<Vec<_>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .flat_map(|h| h.join().expect("experiment worker panicked"))
-                .collect()
-        });
-        indexed.sort_by_key(|(i, _)| *i);
-        indexed.into_iter().map(|(_, m)| m).collect()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -400,25 +315,6 @@ mod tests {
         assert!(m.time_mean > 0.0);
         assert!(m.peak_memory_bits > 0);
         assert_eq!(m.k, 16);
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        let registry = reg();
-        let spec = ExperimentSpec {
-            points: vec![
-                small_point("ks-dfs", Schedule::Sync),
-                small_point("probe-dfs", Schedule::Sync),
-                small_point("sync-seeker", Schedule::Sync),
-            ],
-        };
-        let seq = spec.run(&registry);
-        let par = spec.run_parallel(&registry, 3);
-        assert_eq!(seq.len(), par.len());
-        for (a, b) in seq.iter().zip(par.iter()) {
-            assert_eq!(a.time_mean, b.time_mean);
-            assert_eq!(a.point.scenario.algorithm, b.point.scenario.algorithm);
-        }
     }
 
     #[test]

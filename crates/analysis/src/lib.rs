@@ -3,7 +3,7 @@
 //! Experiment sweeps, scaling fits and report generation for the dispersion
 //! reproduction. The [`experiment`] module defines experiment points
 //! (a canonical `ScenarioSpec` × repetitions), runs individual seeded
-//! trials and parameter sweeps (optionally across threads),
+//! trials and aggregates them into per-point measurements,
 //! [`scenario_json`] is the structured JSON codec for scenarios (labels are
 //! the other canonical form), [`jsonl`] streams and merges the trial
 //! records the `disp-campaign` engine checkpoints to disk, [`json`] is the
@@ -12,7 +12,8 @@
 //! campaign observation, [`fit`] estimates log–log
 //! scaling exponents so the harness can check the *shape* of the paper's
 //! bounds, [`stats`] provides the usual summaries, and [`report`] renders
-//! Markdown and CSV tables for `EXPERIMENTS.md`.
+//! the Markdown and CSV tables of the harness binaries and
+//! `disp-campaign report`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,7 +28,7 @@ pub mod scenario_json;
 pub mod spark;
 pub mod stats;
 
-pub use experiment::{ExperimentPoint, ExperimentSpec, Measurement, TrialRecord};
+pub use experiment::{ExperimentPoint, Measurement, TrialRecord};
 pub use fit::{loglog_fit, LogLogFit};
 pub use json::Json;
 pub use jsonl::{dedup_trials, merge_trials, read_trials, Ingest};

@@ -1,7 +1,7 @@
 //! Emit the figure-equivalent scaling series as CSV: time vs `k` per graph
 //! family, algorithm and schedule. The paper itself has only illustrative
 //! figures; these series are what an experimental evaluation of its claims
-//! would plot (see `EXPERIMENTS.md`).
+//! would plot.
 //!
 //! A thin description over the `disp-campaign` engine (see `table1.rs`).
 //!

@@ -35,12 +35,12 @@
 
 use disp_analysis::json::Json;
 use disp_campaign::grid::CampaignSpec;
-use disp_campaign::run::run_campaign_batched;
-use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
+use disp_campaign::run::run_campaign_observed;
+use disp_core::scenario::{Observe, Registry, ScenarioSpec, Schedule};
 use disp_core::ProbeDfs;
 use disp_graph::generators::{self, GraphFamily};
 use disp_graph::NodeId;
-use disp_sim::{RunConfig, SyncRunner, World};
+use disp_sim::{RunConfig, SyncRunner, World, WorldPool};
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
@@ -71,7 +71,7 @@ pub const MICRO_BATCH: usize = 32;
 
 /// The micro workload's campaign: [`MICRO_TRIALS`] repetitions of a small
 /// rooted `line/k=256` SYNC trial, executed through the *batched*
-/// micro-trial engine path ([`run_campaign_batched`]) so each batch of
+/// micro-trial engine path ([`run_campaign_observed`]) so each batch of
 /// [`MICRO_BATCH`] trials shares one warm world-allocation pool. This is
 /// the gate's per-trial-overhead probe: the trials are small enough that
 /// setup (graph + world construction, protocol init) is a real fraction of
@@ -127,11 +127,13 @@ pub fn timeline_overhead(samples: usize) -> (f64, f64, f64) {
         report.outcome.rounds
     };
     let recorded = |spec: &ScenarioSpec| {
-        let (report, timeline) = spec
-            .run_with_timeline(&registry, 7, disp_sim::DEFAULT_TIMELINE_BUDGET)
+        let observe = Observe::timeline(disp_sim::DEFAULT_TIMELINE_BUDGET);
+        let observed = spec
+            .run_observed(&registry, 7, &mut WorldPool::new(), observe)
             .expect("recorded scale line terminates");
-        assert!(report.dispersed);
-        report.outcome.rounds + timeline.points.len() as u64
+        assert!(observed.report.dispersed);
+        let timeline = observed.timeline.expect("timeline requested");
+        observed.report.outcome.rounds + timeline.points.len() as u64
     };
     std::hint::black_box(plain(&spec));
     std::hint::black_box(recorded(&spec));
@@ -246,13 +248,14 @@ impl Workload {
             }
             Workload::MicroBatch => {
                 let spec = micro_campaign_spec();
-                let (records, _) = run_campaign_batched(
+                let (records, _) = run_campaign_observed(
                     &spec,
                     None,
                     1,
                     MICRO_BATCH,
                     registry,
                     &AtomicBool::new(false),
+                    None,
                     None,
                 )
                 .expect("micro campaign runs");
@@ -448,13 +451,14 @@ pub fn scaling(thread_counts: &[usize]) -> Result<Vec<ScalingRow>, String> {
     let mut rows: Vec<ScalingRow> = Vec::new();
     for &threads in thread_counts {
         let start = Instant::now();
-        let (records, _) = run_campaign_batched(
+        let (records, _) = run_campaign_observed(
             &spec,
             None,
             threads,
             MICRO_BATCH,
             &registry,
             &AtomicBool::new(false),
+            None,
             None,
         )?;
         let wall_ns = start.elapsed().as_nanos() as u64;

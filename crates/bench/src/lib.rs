@@ -1,10 +1,12 @@
 //! Shared pieces for the reproduction harness binaries (`table1`,
-//! `figures`, `ablations`) and the wall-clock benches.
+//! `figures`, `ablations`) and the `bench-gate` regression gate.
 //!
 //! The sweep machinery that used to live here moved into `disp-campaign`
 //! (grids, seeds, the work-stealing engine) and `disp-analysis` (row
 //! formatting); the re-exports below keep the old call sites working. What
-//! remains local is [`harness`], the criterion-shaped bench harness.
+//! remains local is [`gate`], the workloads and thresholds `bench-gate`
+//! checks. Per-layer timings (graph build, protocol activations, the
+//! adversary) come from the benchmark in `perfbench/`.
 
 // `count-allocs` swaps in a counting global allocator, whose `GlobalAlloc`
 // impl has no safe-Rust expression — that build carries the crate's single
@@ -15,7 +17,6 @@
 #![warn(missing_docs)]
 
 pub mod gate;
-pub mod harness;
 
 /// A counting global allocator (behind the `count-allocs` feature): every
 /// heap allocation and reallocation in the process bumps one relaxed

@@ -30,8 +30,8 @@ use disp_campaign::store::CampaignStore;
 use disp_campaign::telemetry::{
     timeline_to_jsonl, trace_to_jsonl, JsonlSink, Telemetry, TimelineSidecar,
 };
-use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
-use disp_sim::{DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use disp_core::scenario::{grammar_help, Observe, Registry, ScenarioSpec};
+use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -428,9 +428,15 @@ fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
     };
     let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
     let cap = flags.cap.unwrap_or(DEFAULT_TRACE_CAP);
-    let (report, trace) = spec
-        .run_traced(registry, flags.seed, cap)
+    let observed = spec
+        .run_observed(
+            registry,
+            flags.seed,
+            &mut WorldPool::new(),
+            Observe::trace(cap),
+        )
         .map_err(|e| e.to_string())?;
+    let (report, trace) = (observed.report, observed.trace.expect("trace requested"));
     let jsonl = trace_to_jsonl(&trace);
     match &flags.out {
         Some(path) => {
@@ -471,9 +477,18 @@ fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
     };
     let spec = ScenarioSpec::parse(label, registry).map_err(|e| e.to_string())?;
     let budget = flags.budget.unwrap_or(DEFAULT_TIMELINE_BUDGET);
-    let (report, timeline) = spec
-        .run_with_timeline(registry, flags.seed, budget)
+    let observed = spec
+        .run_observed(
+            registry,
+            flags.seed,
+            &mut WorldPool::new(),
+            Observe::timeline(budget),
+        )
         .map_err(|e| e.to_string())?;
+    let (report, timeline) = (
+        observed.report,
+        observed.timeline.expect("timeline requested"),
+    );
     let jsonl = timeline_to_jsonl(&timeline, &spec.label(), flags.seed);
     match &flags.out {
         Some(path) => {

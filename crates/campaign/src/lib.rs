@@ -30,7 +30,9 @@
 //! * [`grid`] — campaign descriptions (named sections of experiment
 //!   points), trial expansion and seed derivation.
 //! * [`store`] — the manifest + JSONL checkpoint directory.
-//! * [`run`] — orchestration: skip-completed, execute, stream.
+//! * [`run`] — orchestration: skip-completed, execute, stream
+//!   ([`run_campaign`], its fully observed form [`run_campaign_observed`],
+//!   and the cluster worker's [`run_trial_batch`]).
 //! * [`telemetry`] — live per-trial events (bounded channel → pluggable
 //!   sink; timing is non-content and lands in a sidecar, never in results).
 //! * [`report`] — per-section tables, scaling fits, CSV series.
@@ -69,7 +71,7 @@ pub use engine::{parallel_map, EngineStats};
 pub use grid::{
     full_ks, quick_ks, section_points, trial_seed, CampaignSpec, Mode, Section, TrialSpec,
 };
-pub use run::{run_campaign, run_campaign_cancellable, run_campaign_telemetered, RunSummary};
+pub use run::{run_campaign, run_campaign_observed, run_trial_batch, RunSummary};
 pub use store::{CampaignStore, Manifest, TrialWriter};
 pub use telemetry::{
     trace_to_jsonl, JsonlSink, Telemetry, TelemetryHandle, TelemetrySink, TrialEvent,

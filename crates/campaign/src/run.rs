@@ -49,94 +49,44 @@ pub fn run_campaign(
     threads: usize,
     registry: &Registry,
 ) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_cancellable(spec, store, threads, registry, &AtomicBool::new(false))
+    let cancel = AtomicBool::new(false);
+    run_campaign_observed(spec, store, threads, 1, registry, &cancel, None, None)
 }
 
-/// [`run_campaign`] with a cooperative cancellation latch.
+/// [`run_campaign`] with every knob and observer the campaign layer has.
 ///
-/// Once `cancel` reads `true`, workers stop *starting* trials; everything
-/// already in flight finishes and is checkpointed normally, so the store is
-/// left a valid prefix of the grid and `resume` continues exactly where the
-/// interrupt landed. The returned summary has `cancelled` set if any grid
-/// trial was left unexecuted. This is the path behind Ctrl-C handling in
-/// the CLI (`disp_campaign::signal`) and job cancellation in `disp-serve`.
-pub fn run_campaign_cancellable(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_telemetered(spec, store, threads, registry, cancel, None)
-}
-
-/// [`run_campaign_cancellable`] with an optional live-telemetry handle.
+/// - **Batches.** Work is stolen at the granularity of `batch` contiguous
+///   grid trials (`0` counts as `1`), and each batch runs its trials
+///   sequentially through one [`disp_sim::WorldPool`]: after the batch's
+///   first trial, world construction reuses the pooled buffers. This is
+///   how campaigns of many *small* trials (k ≲ few hundred) amortize
+///   per-trial setup; for grids of big trials keep `batch = 1`. Records
+///   are byte-identical for any batch size and thread count (each trial
+///   depends only on its own seed; the pool contract is state identity).
+///   A batch's records are checkpointed in grid order as it completes, so
+///   a kill loses at most the in-flight batches. The summary's
+///   [`EngineStats::per_worker`] counts batches, the stealing unit.
+/// - **Cancellation.** Once `cancel` reads `true`, workers stop *starting*
+///   trials (the latch is checked per trial, so even a large batch drains
+///   in microseconds); everything in flight finishes and is checkpointed
+///   normally, so the store stays a valid prefix of the grid and `resume`
+///   continues where the interrupt landed. The summary has `cancelled` set
+///   if any grid trial was left unexecuted. This is the path behind Ctrl-C
+///   handling in the CLI (`disp_campaign::signal`) and job cancellation in
+///   `disp-serve`.
+/// - **Telemetry.** With a handle, workers emit [`TrialEvent`]s as trials
+///   start and finish (wall-clock micros, moves, rounds), and trials
+///   satisfied from the store's checkpoint emit [`TrialEvent::Cached`] up
+///   front, in grid order.
+/// - **Timelines.** With a sidecar, every *executed* trial also records a
+///   decimated [`disp_sim::Timeline`] and appends it (as one JSONL chunk)
+///   to the sidecar as the trial finishes. Checkpointed trials never
+///   re-execute, so the sidecar covers exactly what this call ran.
 ///
-/// With a handle, workers emit [`TrialEvent`]s as trials start and finish
-/// (wall-clock micros, moves, rounds), and trials satisfied from the store's
-/// checkpoint emit [`TrialEvent::Cached`] up front. Telemetry is pure
-/// observation: the returned records — and any store checkpoint — are
-/// byte-identical with and without a handle, across thread counts (timing
-/// is non-content and never enters the results stream; see
-/// [`crate::telemetry`]).
-pub fn run_campaign_telemetered(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-    telemetry: Option<&TelemetryHandle>,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_batched(spec, store, threads, 1, registry, cancel, telemetry)
-}
-
-/// [`run_campaign_telemetered`] with **batched micro-trials**: work is
-/// stolen at the granularity of `batch` contiguous grid trials instead of
-/// single trials, and each batch runs its trials sequentially through one
-/// [`disp_sim::WorldPool`] — after the batch's first trial, world
-/// construction reuses the pooled buffers and allocates nothing new. This
-/// is how campaigns of many *small* trials (k ≲ few hundred) amortize
-/// per-trial setup; for grids of big trials keep `batch = 1`, which is
-/// exactly the unbatched path.
-///
-/// Semantics are unchanged in every observable way:
-///
-/// - **Results** are byte-identical to the unbatched path for any thread
-///   count (each trial still depends only on its own seed; the pool
-///   contract is state identity).
-/// - **Checkpointing** appends a batch's records in grid order as each
-///   batch completes; a kill loses at most the in-flight batches, and
-///   `resume` skips by trial id exactly as before.
-/// - **Telemetry** still emits per-trial start/completion events from the
-///   worker.
-/// - **Cancellation** is still checked per trial, so a set latch drains
-///   even a large batch in microseconds.
-///
-/// The summary's [`EngineStats::per_worker`] counts batches (the stealing
-/// unit), not trials, when `batch > 1`.
-pub fn run_campaign_batched(
-    spec: &CampaignSpec,
-    store: Option<&CampaignStore>,
-    threads: usize,
-    batch: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-    telemetry: Option<&TelemetryHandle>,
-) -> Result<(Vec<TrialRecord>, RunSummary), String> {
-    run_campaign_observed(
-        spec, store, threads, batch, registry, cancel, telemetry, None,
-    )
-}
-
-/// [`run_campaign_batched`] with an optional flight-recorder sidecar.
-///
-/// With a sidecar, every *executed* trial also records a decimated
-/// [`disp_sim::Timeline`] and appends it (as one JSONL chunk) to the
-/// sidecar as the trial finishes. Trials satisfied from the checkpoint
-/// never re-execute, so they contribute no timeline — the sidecar covers
-/// exactly what this call ran. Recording is pure observation: the returned
-/// records and any store checkpoint are byte-identical with and without a
-/// sidecar, across thread counts and batch sizes (pinned by test and CI).
+/// Telemetry and timelines are pure observation: the returned records and
+/// any store checkpoint are byte-identical with and without them, across
+/// thread counts and batch sizes (timing is non-content and never enters
+/// the results stream; see [`crate::telemetry`]).
 #[allow(clippy::too_many_arguments)]
 pub fn run_campaign_observed(
     spec: &CampaignSpec,
@@ -172,10 +122,9 @@ pub fn run_campaign_observed(
         None => (Vec::new(), Default::default()),
     };
 
-    let todo: Vec<TrialSpec> = grid
+    let todo: Vec<&TrialSpec> = grid
         .iter()
         .filter(|t| !completed.contains(&t.trial_id()))
-        .cloned()
         .collect();
     let skipped = total - todo.len();
 
@@ -196,103 +145,63 @@ pub fn run_campaign_observed(
         None => None,
     };
     let start = Instant::now();
-    let todo_len = todo.len();
-    // One trial through the latch + telemetry + pool plumbing; shared by
-    // both execution shapes below.
-    let run_one = |trial: &TrialSpec, pool: &mut disp_sim::WorldPool| -> Option<TrialRecord> {
-        // The latch is checked per trial: a set latch makes the
-        // remaining queue drain in microseconds while in-flight trials
-        // complete and checkpoint normally.
-        if cancel.load(Ordering::SeqCst) {
-            None
-        } else {
-            if let Some(telemetry) = telemetry {
-                telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
-            }
-            let begun = Instant::now();
-            let record = match timelines {
-                // Recorded trials skip the pool: pooling is a perf-only
-                // contract (state identity), so results are unchanged, and
-                // grids big enough to want timelines are not the
-                // many-tiny-trials shape the pool exists for.
-                Some(sidecar) => {
-                    let (record, timeline) = trial.point.run_trial_with_timeline(
-                        registry,
-                        trial.rep,
-                        trial.seed,
-                        disp_sim::DEFAULT_TIMELINE_BUDGET,
-                    );
-                    if let Some(timeline) = timeline {
+    // Contiguous runs of `batch` trials are the stealing unit; each runs
+    // sequentially through one warm pool.
+    let batches: Vec<&[&TrialSpec]> = todo.chunks(batch.max(1)).collect();
+    let budget = timelines.map(|_| disp_sim::DEFAULT_TIMELINE_BUDGET);
+    let (executed, stats) = parallel_map(
+        batches,
+        threads,
+        |_, batch: &&[&TrialSpec]| {
+            let mut pool = disp_sim::WorldPool::new();
+            batch
+                .iter()
+                .map(|trial| {
+                    // The latch is checked per trial: a set latch makes
+                    // the remaining queue drain in microseconds while
+                    // in-flight trials complete and checkpoint normally.
+                    if cancel.load(Ordering::SeqCst) {
+                        return None;
+                    }
+                    if let Some(telemetry) = telemetry {
+                        telemetry.emit(TrialEvent::started(&trial.point.point_id(), trial.rep));
+                    }
+                    let begun = Instant::now();
+                    let (record, timeline) = trial
+                        .point
+                        .run_trial_observed(registry, trial.rep, trial.seed, &mut pool, budget);
+                    if let (Some(sidecar), Some(timeline)) = (timelines, timeline) {
                         sidecar.append(&timeline_to_jsonl(
                             &timeline,
                             &trial.point.point_id(),
                             trial.seed,
                         ));
                     }
-                    record
-                }
-                None => trial
-                    .point
-                    .run_trial_pooled(registry, trial.rep, trial.seed, pool),
-            };
-            if let Some(telemetry) = telemetry {
-                let wall_micros = begun.elapsed().as_micros() as u64;
-                telemetry.emit(TrialEvent::completed(&record, wall_micros));
-            }
-            Some(record)
-        }
-    };
-    let (executed, stats) = if batch <= 1 {
-        parallel_map(
-            todo,
-            threads,
-            |_, trial: &TrialSpec| run_one(trial, &mut disp_sim::WorldPool::new()),
-            |_, record: &Option<TrialRecord>| {
-                if let (Some(w), Some(record)) = (&writer, record) {
+                    if let Some(telemetry) = telemetry {
+                        let wall_micros = begun.elapsed().as_micros() as u64;
+                        telemetry.emit(TrialEvent::completed(&record, wall_micros));
+                    }
+                    Some(record)
+                })
+                .collect::<Vec<Option<TrialRecord>>>()
+        },
+        |_, records: &Vec<Option<TrialRecord>>| {
+            if let Some(w) = &writer {
+                for record in records.iter().flatten() {
                     w.append(record);
                 }
-            },
-        )
-    } else {
-        // Contiguous runs of `batch` trials are the stealing unit; each
-        // runs sequentially through one warm pool.
-        let batches: Vec<Vec<TrialSpec>> = {
-            let mut todo = todo;
-            let mut out = Vec::with_capacity(todo.len().div_ceil(batch));
-            while !todo.is_empty() {
-                let rest = todo.split_off(batch.min(todo.len()));
-                out.push(std::mem::replace(&mut todo, rest));
             }
-            out
-        };
-        let (nested, stats) = parallel_map(
-            batches,
-            threads,
-            |_, batch: &Vec<TrialSpec>| {
-                let mut pool = disp_sim::WorldPool::new();
-                batch
-                    .iter()
-                    .map(|trial| run_one(trial, &mut pool))
-                    .collect::<Vec<Option<TrialRecord>>>()
-            },
-            |_, records: &Vec<Option<TrialRecord>>| {
-                if let Some(w) = &writer {
-                    for record in records.iter().flatten() {
-                        w.append(record);
-                    }
-                }
-            },
-        );
-        (nested.into_iter().flatten().collect(), stats)
-    };
+        },
+    );
     let wall = start.elapsed();
 
     // Merge prior + fresh records and return them in grid order.
-    let executed: Vec<TrialRecord> = executed.into_iter().flatten().collect();
-    let executed_count = executed.len();
-    let cancelled = executed_count < todo_len;
     let mut all = prior;
-    all.extend(executed);
+    let prior_count = all.len();
+    all.reserve(todo.len());
+    all.extend(executed.into_iter().flatten().flatten());
+    let executed_count = all.len() - prior_count;
+    let cancelled = executed_count < todo.len();
     let all = dedup_trials(all);
     let by_id: std::collections::HashMap<String, TrialRecord> =
         all.into_iter().map(|r| (r.trial_id(), r)).collect();
@@ -473,7 +382,8 @@ mod tests {
     fn pre_set_cancel_latch_executes_nothing_and_reports_cancelled() {
         let spec = tiny_spec(6);
         let cancel = AtomicBool::new(true);
-        let (records, summary) = run_campaign_cancellable(&spec, None, 2, &reg(), &cancel).unwrap();
+        let (records, summary) =
+            run_campaign_observed(&spec, None, 2, 1, &reg(), &cancel, None, None).unwrap();
         assert!(records.is_empty());
         assert_eq!(summary.executed, 0);
         assert!(summary.cancelled);
@@ -516,11 +426,12 @@ mod tests {
         drop(writer);
         assert!(cancel.load(Ordering::SeqCst));
 
-        // Resuming through the cancellable API with a clear latch finishes
+        // Resuming through the observed API with a clear latch finishes
         // the grid and matches an uninterrupted run record-for-record.
         let clear = AtomicBool::new(false);
         let (records, summary) =
-            run_campaign_cancellable(&spec, Some(&store), 2, &registry, &clear).unwrap();
+            run_campaign_observed(&spec, Some(&store), 2, 1, &registry, &clear, None, None)
+                .unwrap();
         assert!(!summary.cancelled);
         assert_eq!(summary.skipped, 3);
         let (full, _) = run_campaign(&spec, None, 1, &registry).unwrap();
@@ -542,7 +453,8 @@ mod tests {
         for threads in [1, 4] {
             for batch in [2, 7, 1000] {
                 let (records, summary) =
-                    run_campaign_batched(&spec, None, threads, batch, &reg(), &none, None).unwrap();
+                    run_campaign_observed(&spec, None, threads, batch, &reg(), &none, None, None)
+                        .unwrap();
                 assert_eq!(
                     lines(&records),
                     lines(&reference),
@@ -576,7 +488,7 @@ mod tests {
 
         let none = AtomicBool::new(false);
         let (records, summary) =
-            run_campaign_batched(&spec, Some(&store), 2, 3, &registry, &none, None).unwrap();
+            run_campaign_observed(&spec, Some(&store), 2, 3, &registry, &none, None, None).unwrap();
         assert_eq!(summary.skipped, grid.len() / 2);
         let (full, _) = run_campaign(&spec, None, 1, &registry).unwrap();
         let lines = |rs: &[TrialRecord]| -> Vec<String> {

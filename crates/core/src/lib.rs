@@ -50,8 +50,8 @@ pub use baselines::ks_dfs::KsDfs;
 pub use probe_dfs::ProbeDfs;
 pub use rooted_sync::RootedSyncDisp;
 pub use scenario::{
-    AlgorithmFactory, Limits, ParamValue, Params, Registry, ScenarioError, ScenarioReport,
-    ScenarioSpec, Schedule,
+    AlgorithmFactory, Limits, Observe, Observed, ParamValue, Params, Registry, ScenarioError,
+    ScenarioReport, ScenarioSpec, Schedule,
 };
 
 /// Convenient glob import for downstream crates.

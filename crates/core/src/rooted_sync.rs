@@ -18,7 +18,7 @@
 //! degrades toward the `O(k log k)` of the DISC'24 baseline on high-degree
 //! graphs. The empty-node selection and oscillation components are
 //! implemented and verified separately; wiring them into this protocol is
-//! the one fidelity gap of this reproduction (tracked in `EXPERIMENTS.md`).
+//! the one fidelity gap of this reproduction (DESIGN.md §3).
 //!
 //! ## Structure-of-arrays state (DESIGN.md §13)
 //!

@@ -851,6 +851,47 @@ pub struct ScenarioReport {
     pub dispersed: bool,
 }
 
+/// The observers a [`ScenarioSpec::run_observed`] run attaches; the
+/// default attaches none.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Observe {
+    /// Record the event trace, capped at this many events.
+    pub trace_cap: Option<usize>,
+    /// Attach the flight recorder with this point budget.
+    pub timeline_budget: Option<usize>,
+}
+
+impl Observe {
+    /// The event trace only, capped at `cap` events.
+    pub fn trace(cap: usize) -> Observe {
+        Observe {
+            trace_cap: Some(cap),
+            timeline_budget: None,
+        }
+    }
+
+    /// The flight recorder only, with a budget of `budget` points.
+    pub fn timeline(budget: usize) -> Observe {
+        Observe {
+            trace_cap: None,
+            timeline_budget: Some(budget),
+        }
+    }
+}
+
+/// The result of [`ScenarioSpec::run_observed`]: the report plus what each
+/// requested observer recorded (`None` when it was off).
+#[derive(Debug, Clone)]
+pub struct Observed {
+    /// The same report [`ScenarioSpec::run`] returns.
+    pub report: ScenarioReport,
+    /// The event trace, when [`Observe::trace_cap`] was set.
+    pub trace: Option<disp_sim::Trace>,
+    /// The flight-recorder timeline, when [`Observe::timeline_budget`] was
+    /// set.
+    pub timeline: Option<disp_sim::Timeline>,
+}
+
 impl ScenarioSpec {
     /// A rooted, synchronous scenario at full occupancy with default
     /// parameters and limits — refine with the `with_*` methods.
@@ -1258,7 +1299,7 @@ impl ScenarioSpec {
     /// constructed inside the pool's recycled allocations when it has any.
     /// State-identical to an unpooled build (the pool contract), so pooled
     /// and unpooled runs of the same seed produce the same outcome.
-    pub fn build_pooled(
+    fn build_pooled(
         &self,
         registry: &Registry,
         seed: u64,
@@ -1334,29 +1375,52 @@ impl ScenarioSpec {
         (dynamics, crashes)
     }
 
-    /// Drive a prepared world/protocol pair to completion under this
-    /// spec's schedule and fault plans.
-    fn execute(
-        &self,
-        world: &mut World,
-        protocol: &mut dyn AgentProtocol,
-        seed: u64,
-    ) -> Result<Outcome, RunError> {
-        self.execute_recorded(world, protocol, seed, None)
+    /// Execute the scenario under `seed`. The seed fully determines the run:
+    /// graph instance, placement, adversary and algorithm-internal
+    /// randomness all derive from it through fixed sub-seed tags.
+    pub fn run(&self, registry: &Registry, seed: u64) -> Result<ScenarioReport, ScenarioError> {
+        Ok(self
+            .run_observed(registry, seed, &mut WorldPool::new(), Observe::default())?
+            .report)
     }
 
-    /// [`ScenarioSpec::execute`] with an optional flight recorder sampling
-    /// round/epoch boundaries (see [`disp_sim::timeline`]).
-    fn execute_recorded(
+    /// The one run path behind [`ScenarioSpec::run`], with a [`WorldPool`]
+    /// and the observers `observe` asks for.
+    ///
+    /// - **Pool.** The world is built from the pool's allocations and
+    ///   returned to it afterwards, so a batch of small trials sharing one
+    ///   pool allocates world buffers only once. The pool contract is state
+    ///   identity: any pool, fresh or recycled from a different world,
+    ///   gives the same outcome.
+    /// - **Trace** (`trace_cap`). The world records its
+    ///   [`Trace`](disp_sim::Trace) — Move / CohortMove / Milestone events,
+    ///   in order, capped at `trace_cap` events (the trace marks itself
+    ///   truncated rather than growing without bound).
+    /// - **Timeline** (`timeline_budget`). The flight recorder samples
+    ///   settled/active/parked counts, the per-role class histogram,
+    ///   cumulative moves and fault-world gauges at round (SYNC) / epoch
+    ///   (ASYNC) boundaries, decimated into `timeline_budget` points (the
+    ///   usual value is [`disp_sim::DEFAULT_TIMELINE_BUDGET`]).
+    ///
+    /// Observation never perturbs the run: the report is byte-identical to
+    /// [`ScenarioSpec::run`] of the same seed, and the trace and timeline
+    /// are each pure functions of `(self, seed, cap/budget)` whether or not
+    /// the other observer is on.
+    pub fn run_observed(
         &self,
-        world: &mut World,
-        protocol: &mut dyn AgentProtocol,
+        registry: &Registry,
         seed: u64,
-        recorder: Option<&mut TimelineRecorder>,
-    ) -> Result<Outcome, RunError> {
-        let config = self.run_config(world);
+        pool: &mut WorldPool,
+        observe: Observe,
+    ) -> Result<Observed, ScenarioError> {
+        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
+        if let Some(cap) = observe.trace_cap {
+            world.enable_trace_with_cap(cap);
+        }
+        let mut recorder = observe.timeline_budget.map(TimelineRecorder::with_budget);
+        let config = self.run_config(&world);
         let (dynamics, crashes) = self.build_faults(world.num_agents(), seed);
-        match self.build_adversary(world.num_agents(), seed) {
+        let outcome = match self.build_adversary(world.num_agents(), seed) {
             None => {
                 let mut runner = SyncRunner::new(config);
                 if let Some(d) = dynamics {
@@ -1365,7 +1429,7 @@ impl ScenarioSpec {
                 if let Some(c) = crashes {
                     runner = runner.with_crashes(c);
                 }
-                runner.run_recorded(world, protocol, recorder)
+                runner.run_recorded(&mut world, protocol.as_mut(), recorder.as_mut())
             }
             Some(adversary) => {
                 let mut runner = AsyncRunner::new(config, adversary);
@@ -1375,96 +1439,21 @@ impl ScenarioSpec {
                 if let Some(c) = crashes {
                     runner = runner.with_crashes(c);
                 }
-                runner.run_recorded(world, protocol, recorder)
+                runner.run_recorded(&mut world, protocol.as_mut(), recorder.as_mut())
             }
-        }
-    }
-
-    /// Execute the scenario under `seed`. The seed fully determines the run:
-    /// graph instance, placement, adversary and algorithm-internal
-    /// randomness all derive from it through fixed sub-seed tags.
-    pub fn run(&self, registry: &Registry, seed: u64) -> Result<ScenarioReport, ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
-        Ok(ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        })
-    }
-
-    /// [`ScenarioSpec::run`] with a [`WorldPool`]: the trial's world is
-    /// built from the pool's allocations and returned to it afterwards.
-    /// The batched micro-trial campaign path drives contiguous runs of
-    /// small trials through one pool so only the first trial pays the
-    /// world's allocation cost. Reports are byte-identical to unpooled
-    /// runs of the same seed.
-    pub fn run_pooled(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        pool: &mut WorldPool,
-    ) -> Result<ScenarioReport, ScenarioError> {
-        let (mut world, mut protocol) = self.build_pooled(registry, seed, pool)?;
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
+        }?;
         let report = ScenarioReport {
             scenario: self.label(),
             outcome,
             dispersed: verify::is_dispersed_at(&world, self.min_distance),
         };
+        let trace = observe.trace_cap.map(|_| world.take_trace());
         pool.put(world);
-        Ok(report)
-    }
-
-    /// Like [`ScenarioSpec::run`], but with event tracing enabled for the
-    /// whole run: returns the report together with the recorded
-    /// [`Trace`](disp_sim::Trace) (Move / CohortMove / Milestone events, in
-    /// order, capped at `cap` events — the trace marks itself truncated
-    /// rather than growing without bound). Tracing does not perturb the
-    /// run: the outcome is identical to an untraced run of the same seed.
-    pub fn run_traced(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        cap: usize,
-    ) -> Result<(ScenarioReport, disp_sim::Trace), ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
-        world.enable_trace_with_cap(cap);
-        let outcome = self.execute(&mut world, protocol.as_mut(), seed)?;
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        };
-        Ok((report, world.take_trace()))
-    }
-
-    /// Like [`ScenarioSpec::run`], but with the flight recorder attached:
-    /// returns the report together with the recorded
-    /// [`Timeline`](disp_sim::Timeline) — settled/active/parked counts, the
-    /// per-role class histogram, cumulative moves, and fault-world gauges
-    /// at round (SYNC) / epoch (ASYNC) boundaries, decimated into the
-    /// recorder's fixed budget (default
-    /// [`disp_sim::DEFAULT_TIMELINE_BUDGET`] points). Recording does not
-    /// perturb the run: the outcome is byte-identical to an unrecorded run
-    /// of the same seed, and the timeline itself is a pure function of
-    /// `(self, seed, budget)`.
-    pub fn run_with_timeline(
-        &self,
-        registry: &Registry,
-        seed: u64,
-        budget: usize,
-    ) -> Result<(ScenarioReport, disp_sim::Timeline), ScenarioError> {
-        let (mut world, mut protocol) = self.build(registry, seed)?;
-        let mut recorder = TimelineRecorder::with_budget(budget);
-        let outcome =
-            self.execute_recorded(&mut world, protocol.as_mut(), seed, Some(&mut recorder))?;
-        let report = ScenarioReport {
-            scenario: self.label(),
-            outcome,
-            dispersed: verify::is_dispersed_at(&world, self.min_distance),
-        };
-        Ok((report, recorder.finish()))
+        Ok(Observed {
+            report,
+            trace,
+            timeline: recorder.map(TimelineRecorder::finish),
+        })
     }
 }
 
@@ -2128,20 +2117,51 @@ mod tests {
     #[test]
     fn timeline_runs_match_plain_runs_and_sample_role_histograms() {
         let r = reg();
+        // Every label runs back to back through one shared pool (so each
+        // world is rebuilt inside a different world's allocations) with
+        // both observers on at once.
+        let mut shared = WorldPool::new();
+        let trace_only = Observe::trace(disp_sim::DEFAULT_TRACE_CAP);
+        let timeline_only = Observe::timeline(4096);
+        let both = Observe {
+            trace_cap: Some(disp_sim::DEFAULT_TRACE_CAP),
+            timeline_budget: Some(4096),
+        };
         for label in [
             "ring/k16/rooted/sync/probe-dfs",
             "ring/k16/rooted/sync/ks-dfs",
             "line/k12/rooted/sync/sync-seeker",
             "ring/k16/rooted/async-lag3/probe-dfs",
+            "ring/k24/rooted/sync/dyn-ring1/probe-dfs",
+            "ring/k16/rooted/sync/crash3/random-walk",
         ] {
             let spec = ScenarioSpec::parse(label, &r).unwrap();
             let plain = spec.run(&r, 11).unwrap();
-            let (report, tl) = spec.run_with_timeline(&r, 11, 4096).unwrap();
+            let observed = spec.run_observed(&r, 11, &mut shared, both).unwrap();
+            let report = observed.report;
             assert_eq!(
                 plain.outcome, report.outcome,
                 "{label}: recording must not change results"
             );
             assert_eq!(plain.dispersed, report.dispersed, "{label}");
+            let alone = |observe| {
+                spec.run_observed(&r, 11, &mut WorldPool::new(), observe)
+                    .unwrap()
+            };
+            let trace = observed.trace.expect("trace requested");
+            assert_eq!(
+                Some(trace),
+                alone(trace_only).trace,
+                "{label}: the trace does not depend on the pool or the timeline"
+            );
+            let tl = observed.timeline.unwrap();
+            // A timeline-only run on a fresh pool reproduces it: the
+            // timeline is a pure function of the run.
+            assert_eq!(
+                Some(&tl),
+                alone(timeline_only).timeline.as_ref(),
+                "{label}: the timeline does not depend on the pool or the trace"
+            );
             let first = tl.points.first().unwrap();
             let last = tl.points.last().unwrap();
             assert_eq!(first.time, 0, "{label}");
@@ -2155,8 +2175,17 @@ mod tests {
                 "{label}: final point sits at the end of the run"
             );
             let k = report.outcome.k as u64;
-            assert_eq!(last.settled, k, "{label}: everyone settles at the end");
             assert_eq!(last.moves, report.outcome.total_moves, "{label}");
+            if spec.crashes > 0 {
+                // random-walk, the only crash-tolerant algorithm, reports
+                // no role histogram; the fault gauge still counts every
+                // planned crash, and the survivors end parked.
+                assert!(last.classes.is_empty(), "{label}");
+                assert_eq!(last.crashed, spec.crashes, "{label}");
+                assert_eq!(last.parked + last.crashed, k, "{label}");
+                continue;
+            }
+            assert_eq!(last.settled, k, "{label}: everyone settles at the end");
             // Every point's histogram covers all agents and names a
             // "settled" class that matches the derived settled count.
             for p in &tl.points {
@@ -2170,9 +2199,6 @@ mod tests {
                     .sum();
                 assert_eq!(settled, p.settled, "{label} t={}", p.time);
             }
-            // And the whole thing is deterministic.
-            let (_, tl2) = spec.run_with_timeline(&r, 11, 4096).unwrap();
-            assert_eq!(tl, tl2, "{label}: timeline is a pure function of the run");
         }
     }
 
@@ -2182,7 +2208,10 @@ mod tests {
         // A 256-agent rooted line takes hundreds of rounds — enough to
         // force decimation at a budget of 32.
         let spec = ScenarioSpec::parse("line/k256/rooted/sync/probe-dfs", &r).unwrap();
-        let (report, tl) = spec.run_with_timeline(&r, 7, 32).unwrap();
+        let observed = spec
+            .run_observed(&r, 7, &mut WorldPool::new(), Observe::timeline(32))
+            .unwrap();
+        let (report, tl) = (observed.report, observed.timeline.unwrap());
         assert!(report.outcome.rounds > 64, "run long enough to decimate");
         assert!(tl.points.len() <= 33, "{} points", tl.points.len());
         assert!(tl.stride > 1);

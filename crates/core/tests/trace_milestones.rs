@@ -1,17 +1,30 @@
-//! The trace-export contract: `run_traced` records the Move/CohortMove
+//! The trace-export contract: a traced `run_observed` records the Move/CohortMove
 //! stream plus the Milestone codes the protocols document, without
 //! perturbing the run, and respects the bounded-growth cap.
 
 use disp_core::probe_dfs::MILESTONE_SETTLED;
-use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
+use disp_core::scenario::{Observe, Registry, ScenarioReport, ScenarioSpec, Schedule};
 use disp_graph::generators::GraphFamily;
-use disp_sim::{TraceEvent, DEFAULT_TRACE_CAP};
+use disp_sim::{Trace, TraceEvent, WorldPool, DEFAULT_TRACE_CAP};
+
+/// One run with the trace on, capped at `cap` events.
+fn run_traced(
+    spec: &ScenarioSpec,
+    registry: &Registry,
+    seed: u64,
+    cap: usize,
+) -> (ScenarioReport, Trace) {
+    let observed = spec
+        .run_observed(registry, seed, &mut WorldPool::new(), Observe::trace(cap))
+        .unwrap();
+    (observed.report, observed.trace.unwrap())
+}
 
 #[test]
 fn probe_dfs_run_records_one_settled_milestone_per_agent() {
     let registry = Registry::builtin();
     let spec = ScenarioSpec::new(GraphFamily::Line, 24, "probe-dfs").with_schedule(Schedule::Sync);
-    let (report, trace) = spec.run_traced(&registry, 7, DEFAULT_TRACE_CAP).unwrap();
+    let (report, trace) = run_traced(&spec, &registry, 7, DEFAULT_TRACE_CAP);
     assert!(report.dispersed);
     assert!(!trace.truncated());
 
@@ -61,7 +74,7 @@ fn traced_run_outcome_is_identical_to_untraced() {
     ] {
         let spec = ScenarioSpec::from_label(label).unwrap();
         let plain = spec.run(&registry, 11).unwrap();
-        let (traced, trace) = spec.run_traced(&registry, 11, DEFAULT_TRACE_CAP).unwrap();
+        let (traced, trace) = run_traced(&spec, &registry, 11, DEFAULT_TRACE_CAP);
         assert_eq!(plain.outcome, traced.outcome, "{label}");
         assert_eq!(plain.dispersed, traced.dispersed, "{label}");
         assert!(!trace.events().is_empty(), "{label} recorded nothing");
@@ -72,7 +85,7 @@ fn traced_run_outcome_is_identical_to_untraced() {
 fn tiny_cap_truncates_instead_of_growing() {
     let registry = Registry::builtin();
     let spec = ScenarioSpec::new(GraphFamily::Line, 32, "probe-dfs").with_schedule(Schedule::Sync);
-    let (report, trace) = spec.run_traced(&registry, 7, 5).unwrap();
+    let (report, trace) = run_traced(&spec, &registry, 7, 5);
     assert!(report.dispersed);
     assert_eq!(trace.events().len(), 5);
     assert!(trace.truncated());

@@ -798,7 +798,8 @@ fn execute_job(
             let begun = Instant::now();
             let rec = POOL.with(|pool| {
                 t.point
-                    .run_trial_pooled(registry, t.rep, t.seed, &mut pool.borrow_mut())
+                    .run_trial_observed(registry, t.rep, t.seed, &mut pool.borrow_mut(), None)
+                    .0
             });
             events.emit(TrialEvent::completed(
                 &rec,

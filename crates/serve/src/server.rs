@@ -39,8 +39,8 @@ use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::report::{campaign_report_json, section_measurements};
 use disp_campaign::telemetry::{timeline_to_jsonl, trace_to_jsonl};
 use disp_cluster::ClusterBoard;
-use disp_core::scenario::{grammar_help, Registry, ScenarioSpec};
-use disp_sim::{DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use disp_core::scenario::{grammar_help, Observe, Registry, ScenarioSpec};
+use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
@@ -705,9 +705,9 @@ fn serve_trace(
         Ok(spec) => spec,
         Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
     };
-    match spec.run_traced(&registry, seed, cap) {
-        Ok((_report, trace)) => {
-            let body = trace_to_jsonl(&trace);
+    match spec.run_observed(&registry, seed, &mut WorldPool::new(), Observe::trace(cap)) {
+        Ok(observed) => {
+            let body = trace_to_jsonl(&observed.trace.expect("trace requested"));
             write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
             write_chunk(stream, body.as_bytes())?;
             finish_chunks(stream)
@@ -760,8 +760,10 @@ fn serve_timeline(
         Ok(spec) => spec,
         Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
     };
-    match spec.run_with_timeline(&registry, seed, budget) {
-        Ok((_report, timeline)) => {
+    let observe = Observe::timeline(budget);
+    match spec.run_observed(&registry, seed, &mut WorldPool::new(), observe) {
+        Ok(observed) => {
+            let timeline = observed.timeline.expect("timeline requested");
             // The gauge tracks the deepest decimation any served timeline
             // reached: nonzero means budgets are being exercised.
             let level = timeline.decimation_level() as u64;

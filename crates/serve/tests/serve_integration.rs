@@ -15,7 +15,7 @@ use disp_analysis::TrialRecord;
 use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::run::run_campaign;
 use disp_campaign::telemetry::timeline_to_jsonl;
-use disp_core::scenario::{Registry, ScenarioSpec};
+use disp_core::scenario::{Observe, Registry, ScenarioSpec};
 use disp_serve::{parse_metric, Client, ServeConfig, Server};
 use std::time::{Duration, Instant};
 
@@ -411,14 +411,17 @@ fn timeline_endpoints_use_the_shared_encoder_and_track_job_progress() {
 
     // `GET /timeline` streams exactly what `disp-campaign timeline` would
     // print for the same scenario and seed: both sides run
-    // `run_with_timeline` and encode through the shared
+    // `run_observed` with the flight recorder and encode through the shared
     // `timeline_to_jsonl`, so byte-identity holds by construction — and is
     // pinned here over a real socket.
     let label = "star/k8/rooted/sync/probe-dfs";
     let registry = Registry::builtin();
     let spec = ScenarioSpec::parse(label, &registry).unwrap();
-    let (_report, timeline) = spec
-        .run_with_timeline(&registry, 7, disp_sim::DEFAULT_TIMELINE_BUDGET)
+    let observe = Observe::timeline(disp_sim::DEFAULT_TIMELINE_BUDGET);
+    let timeline = spec
+        .run_observed(&registry, 7, &mut disp_sim::WorldPool::new(), observe)
+        .unwrap()
+        .timeline
         .unwrap();
     let expected = timeline_to_jsonl(&timeline, &spec.label(), 7);
     let resp = client

@@ -155,7 +155,56 @@ fn timeline_point<P: AgentProtocol + ?Sized>(
     }
 }
 
-fn build_outcome(world: &World, clock: &Clock, terminated: bool) -> Outcome {
+/// The boundary work both runners do before their first round/step: the
+/// initial memory sample and the flight recorder's time-0 point.
+fn begin_run<P: AgentProtocol + ?Sized>(
+    world: &mut World,
+    protocol: &P,
+    recorder: Option<&mut TimelineRecorder>,
+) {
+    sample_memory(world, protocol);
+    if let Some(rec) = recorder {
+        rec.record(timeline_point(world, protocol, 0, 0));
+    }
+}
+
+/// Crash every victim of `crashes` due at `now` and notify the protocol;
+/// returns whether anyone crashed.
+fn crash_due<P: AgentProtocol + ?Sized>(
+    crashes: &mut CrashPlan,
+    now: u64,
+    world: &mut World,
+    protocol: &mut P,
+) -> bool {
+    let mut any = false;
+    while let Some(victim) = crashes.next_due(now) {
+        world.crash(victim);
+        protocol.on_crash(victim);
+        any = true;
+    }
+    any
+}
+
+/// The one exit routine of both runners: settle in-flight ride
+/// accounting, take the final memory sample (terminated runs only), force
+/// the recorder's final point at `time` when one is attached, and build
+/// the outcome. Exits that must not record a final point (an adversary
+/// fault) pass no recorder.
+fn finish_run<P: AgentProtocol + ?Sized>(
+    world: &mut World,
+    protocol: &P,
+    clock: &Clock,
+    time: u64,
+    terminated: bool,
+    recorder: Option<&mut TimelineRecorder>,
+) -> Outcome {
+    world.sync_ride_accounting();
+    if terminated {
+        sample_memory(world, protocol);
+    }
+    if let Some(rec) = recorder {
+        rec.record_final(timeline_point(world, protocol, time, 0));
+    }
     Outcome {
         rounds: clock.rounds(),
         steps: clock.steps(),
@@ -243,18 +292,11 @@ impl SyncRunner {
         // Fault plans are cloned so the runner stays reusable (`&self`).
         let mut dynamics = self.dynamics.clone();
         let mut crashes = self.crashes.clone();
-        sample_memory(world, protocol);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(timeline_point(world, protocol, 0, 0));
-        }
+        begin_run(world, protocol, recorder.as_deref_mut());
         while !protocol.is_terminated() {
             if clock.rounds() >= self.config.max_rounds || world.active_count() == 0 {
-                world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.rounds(), 0));
-                }
                 return Err(RunError::LimitExceeded {
-                    outcome: build_outcome(world, &clock, false),
+                    outcome: finish_run(world, protocol, &clock, clock.rounds(), false, recorder),
                 });
             }
             let now = clock.rounds();
@@ -263,13 +305,7 @@ impl SyncRunner {
                 dynamics.advance(world);
             }
             if let Some(crashes) = crashes.as_mut() {
-                let mut any = false;
-                while let Some(victim) = crashes.next_due(now) {
-                    world.crash(victim);
-                    protocol.on_crash(victim);
-                    any = true;
-                }
-                if any {
+                if crash_due(crashes, now, world, protocol) {
                     // Crash-induced parks/wakes are already reflected in the
                     // worklist the snapshot below reads; discard the log so
                     // the in-round wake bookkeeping doesn't replay them.
@@ -308,12 +344,14 @@ impl SyncRunner {
                 }
             }
         }
-        world.sync_ride_accounting();
-        sample_memory(world, protocol);
-        if let Some(rec) = recorder {
-            rec.record_final(timeline_point(world, protocol, clock.rounds(), 0));
-        }
-        Ok(build_outcome(world, &clock, true))
+        Ok(finish_run(
+            world,
+            protocol,
+            &clock,
+            clock.rounds(),
+            true,
+            recorder,
+        ))
     }
 }
 
@@ -400,29 +438,15 @@ impl<A: Adversary> AsyncRunner<A> {
         if let Some(dynamics) = self.dynamics.as_mut() {
             dynamics.advance(world);
         }
-        sample_memory(world, protocol);
-        if let Some(rec) = recorder.as_deref_mut() {
-            rec.record(timeline_point(world, protocol, 0, 0));
-        }
+        begin_run(world, protocol, recorder.as_deref_mut());
         while !protocol.is_terminated() {
             if clock.steps() >= self.config.max_steps || world.active_count() == 0 {
-                world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-                }
                 return Err(RunError::LimitExceeded {
-                    outcome: build_outcome(world, &clock, false),
+                    outcome: finish_run(world, protocol, &clock, clock.epochs(), false, recorder),
                 });
             }
             if let Some(crashes) = self.crashes.as_mut() {
-                let now = clock.steps();
-                let mut any = false;
-                while let Some(victim) = crashes.next_due(now) {
-                    world.crash(victim);
-                    protocol.on_crash(victim);
-                    any = true;
-                }
-                if any {
+                if crash_due(crashes, clock.steps(), world, protocol) {
                     // Feed the crash-induced transitions to the epoch
                     // bookkeeping and the adversary's wake feed.
                     world.drain_transitions(&mut transitions);
@@ -453,19 +477,19 @@ impl<A: Adversary> AsyncRunner<A> {
                 );
                 self.adversary.next_step(&view, &mut batch)
             };
-            let fault = |world: &mut World, clock: &Clock, reason: String| {
-                world.sync_ride_accounting();
+            let fault = |world: &mut World, protocol: &P, clock: &Clock, reason: String| {
                 RunError::Adversary {
                     step: clock.steps(),
                     reason,
-                    outcome: Box::new(build_outcome(world, clock, false)),
+                    outcome: Box::new(finish_run(world, protocol, clock, 0, false, None)),
                 }
             };
             let fire = match scheduled {
-                Err(e) => return Err(fault(world, &clock, e.to_string())),
+                Err(e) => return Err(fault(world, protocol, &clock, e.to_string())),
                 Ok(fire) if fire < clock.steps() => {
                     return Err(fault(
                         world,
+                        protocol,
                         &clock,
                         format!("batch fired at step {fire}, before the current step"),
                     ))
@@ -473,6 +497,7 @@ impl<A: Adversary> AsyncRunner<A> {
                 Ok(_) if batch.is_empty() => {
                     return Err(fault(
                         world,
+                        protocol,
                         &clock,
                         "empty batch although agents are active".into(),
                     ))
@@ -483,18 +508,15 @@ impl<A: Adversary> AsyncRunner<A> {
                 // The next activity lies at or beyond the limit: the empty
                 // steps up to the limit elapsed, nothing beyond it ran.
                 clock.cap_steps(self.config.max_steps);
-                world.sync_ride_accounting();
-                if let Some(rec) = recorder.as_deref_mut() {
-                    rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-                }
                 return Err(RunError::LimitExceeded {
-                    outcome: build_outcome(world, &clock, false),
+                    outcome: finish_run(world, protocol, &clock, clock.epochs(), false, recorder),
                 });
             }
             for &agent in batch.iter() {
                 if agent.index() >= k {
                     return Err(fault(
                         world,
+                        protocol,
                         &clock,
                         format!("agent id {agent} out of range (k = {k})"),
                     ));
@@ -546,12 +568,14 @@ impl<A: Adversary> AsyncRunner<A> {
                 sample_memory(world, protocol);
             }
         }
-        world.sync_ride_accounting();
-        sample_memory(world, protocol);
-        if let Some(rec) = recorder {
-            rec.record_final(timeline_point(world, protocol, clock.epochs(), 0));
-        }
-        Ok(build_outcome(world, &clock, true))
+        Ok(finish_run(
+            world,
+            protocol,
+            &clock,
+            clock.epochs(),
+            true,
+            recorder,
+        ))
     }
 }
 

@@ -61,7 +61,7 @@ pub const DEFAULT_TRACE_CAP: usize = 1 << 20;
 /// is a no-op so protocols can emit milestones unconditionally. When the cap
 /// is reached further events are dropped (never an error) and
 /// [`Trace::truncated`] reports the loss.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Trace {
     enabled: bool,
     cap: usize,
