@@ -34,8 +34,9 @@ use std::time::{Duration, Instant};
 /// `cluster_workers` gauge (they are never forgotten for accounting).
 const WORKER_VISIBLE: Duration = Duration::from_secs(10);
 
-/// Suggested worker poll delay when the board has no pending work.
-const IDLE_RETRY_MS: u64 = 200;
+/// How long an idle lease blocks on the board for work before answering
+/// `Idle`; also the `retry_ms` that answer carries.
+pub const LEASE_WAIT: Duration = Duration::from_millis(200);
 
 /// Content identity of a slot — the key of a job's record store.
 type SlotKey = (String, usize, u64);
@@ -90,6 +91,8 @@ struct Inner {
     pending: VecDeque<(String, u64)>,
     workers: HashMap<String, WorkerInfo>,
     leases_expired: u64,
+    /// Set by [`ClusterBoard::drain`]; every lease answers `Draining`.
+    draining: bool,
 }
 
 /// What `wait` observed about a job.
@@ -140,11 +143,6 @@ impl ClusterBoard {
         }
     }
 
-    /// The configured lease time-to-live.
-    pub fn lease_ttl(&self) -> Duration {
-        self.lease_ttl
-    }
-
     /// Publish a job's shard plan; its batches become leasable immediately.
     pub fn publish(&self, job: &str, batches: Vec<Vec<SlotSpec>>) {
         let mut inner = self.inner.lock().unwrap();
@@ -167,39 +165,62 @@ impl ClusterBoard {
                 records: HashMap::new(),
             },
         );
+        self.cv.notify_all();
     }
 
-    /// Hand the next pending batch to `worker`, or tell it to idle.
-    pub fn lease(&self, worker: &str) -> LeaseReply {
-        let now = Instant::now();
+    /// Hand the next pending batch to `worker`. With none pending, block
+    /// for up to `wait` until one becomes leasable — published, or
+    /// requeued when a lease expires — and answer `Idle` if none does.
+    /// Once the board is [drained](ClusterBoard::drain), answer `Draining`.
+    pub fn lease(&self, worker: &str, wait: Duration) -> LeaseReply {
+        let give_up = Instant::now() + wait;
         let mut inner = self.inner.lock().unwrap();
-        reap_expired(&mut inner, now);
-        touch_worker(&mut inner, worker, now);
-        while let Some((job_id, batch_id)) = inner.pending.pop_front() {
-            let Some(job) = inner.jobs.get_mut(&job_id) else {
-                continue; // withdrawn job
-            };
-            if job.failed.is_some() {
-                continue;
+        touch_worker(&mut inner, worker, Instant::now());
+        loop {
+            let now = Instant::now();
+            let next_expiry = reap_expired(&mut inner, now);
+            if inner.draining {
+                return LeaseReply::Draining;
             }
-            let entry = &mut job.batches[batch_id as usize];
-            if entry.phase != Phase::Pending {
-                continue; // completed (or re-leased) while queued
+            while let Some((job_id, batch_id)) = inner.pending.pop_front() {
+                let Some(job) = inner.jobs.get_mut(&job_id) else {
+                    continue; // withdrawn job
+                };
+                if job.failed.is_some() {
+                    continue;
+                }
+                let entry = &mut job.batches[batch_id as usize];
+                if entry.phase != Phase::Pending {
+                    continue; // completed (or re-leased) while queued
+                }
+                entry.phase = Phase::Leased {
+                    worker: worker.to_string(),
+                    deadline: now + self.lease_ttl,
+                };
+                return LeaseReply::Batch(BatchAssignment {
+                    job: job_id,
+                    batch: batch_id,
+                    lease_ms: self.lease_ttl.as_millis() as u64,
+                    slots: entry.slots.clone(),
+                });
             }
-            entry.phase = Phase::Leased {
-                worker: worker.to_string(),
-                deadline: now + self.lease_ttl,
-            };
-            return LeaseReply::Batch(BatchAssignment {
-                job: job_id,
-                batch: batch_id,
-                lease_ms: self.lease_ttl.as_millis() as u64,
-                slots: entry.slots.clone(),
-            });
+            if now >= give_up {
+                return LeaseReply::Idle {
+                    retry_ms: LEASE_WAIT.as_millis() as u64,
+                };
+            }
+            // Wake no later than the earliest lease deadline, so an
+            // expired batch is re-offered as soon as the reaper can see it.
+            let until = next_expiry.map_or(give_up, |d| d.min(give_up));
+            inner = self.cv.wait_timeout(inner, until - now).unwrap().0;
         }
-        LeaseReply::Idle {
-            retry_ms: IDLE_RETRY_MS,
-        }
+    }
+
+    /// Start shutting down: every lease, blocked or future, answers
+    /// `Draining` so workers leave their loops.
+    pub fn drain(&self) {
+        self.inner.lock().unwrap().draining = true;
+        self.cv.notify_all();
     }
 
     /// Extend `worker`'s lease on `(job, batch)`. `false` means the lease
@@ -504,14 +525,19 @@ fn touch_worker(inner: &mut Inner, worker: &str, now: Instant) {
         });
 }
 
-fn reap_expired(inner: &mut Inner, now: Instant) {
+/// Requeue every lease whose deadline has passed; return the earliest
+/// deadline still outstanding.
+fn reap_expired(inner: &mut Inner, now: Instant) -> Option<Instant> {
     let mut requeue = Vec::new();
+    let mut next = None::<Instant>;
     for (job_id, shards) in &mut inner.jobs {
         for (i, entry) in shards.batches.iter_mut().enumerate() {
             if let Phase::Leased { deadline, .. } = &entry.phase {
                 if *deadline < now {
                     entry.phase = Phase::Pending;
                     requeue.push((job_id.clone(), i as u64));
+                } else {
+                    next = Some(next.map_or(*deadline, |n| n.min(*deadline)));
                 }
             }
         }
@@ -520,6 +546,7 @@ fn reap_expired(inner: &mut Inner, now: Instant) {
     for item in requeue {
         inner.pending.push_back(item);
     }
+    next
 }
 
 #[cfg(test)]
@@ -529,6 +556,7 @@ mod tests {
     use disp_analysis::ExperimentPoint;
     use disp_core::scenario::{Registry, ScenarioSpec};
     use disp_graph::generators::GraphFamily;
+    use std::sync::Arc;
 
     fn run_slot(k: usize) -> (SlotSpec, TrialRecord) {
         let point = ExperimentPoint::new(ScenarioSpec::new(GraphFamily::Star, k, "probe-dfs"), 1);
@@ -559,15 +587,18 @@ mod tests {
         let (s1, _) = run_slot(8);
         let (s2, _) = run_slot(12);
         board.publish("r0", vec![vec![s1.clone()], vec![s2.clone()]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         assert_eq!((a.batch, a.slots[0].label.as_str()), (0, s1.label.as_str()));
-        let LeaseReply::Batch(b) = board.lease("w2") else {
+        let LeaseReply::Batch(b) = board.lease("w2", Duration::ZERO) else {
             panic!("expected batch");
         };
         assert_eq!(b.batch, 1);
-        assert!(matches!(board.lease("w1"), LeaseReply::Idle { .. }));
+        assert!(matches!(
+            board.lease("w1", Duration::ZERO),
+            LeaseReply::Idle { .. }
+        ));
         let stats = board.stats();
         assert_eq!((stats.workers, stats.leases_active), (2, 2));
         assert_eq!(stats.workers_busy, 2);
@@ -578,13 +609,13 @@ mod tests {
         let board = ClusterBoard::new(Duration::from_millis(5));
         let (s1, _) = run_slot(8);
         board.publish("r0", vec![vec![s1]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         std::thread::sleep(Duration::from_millis(20));
         // The reaper runs on any board entry point; w2's lease picks the
         // requeued batch up.
-        let LeaseReply::Batch(b) = board.lease("w2") else {
+        let LeaseReply::Batch(b) = board.lease("w2", Duration::ZERO) else {
             panic!("expected requeued batch");
         };
         assert_eq!(b.batch, a.batch);
@@ -598,11 +629,11 @@ mod tests {
         let board = ClusterBoard::new(Duration::from_millis(5));
         let (s1, r1) = run_slot(8);
         board.publish("r0", vec![vec![s1]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         std::thread::sleep(Duration::from_millis(20));
-        let LeaseReply::Batch(_) = board.lease("w2") else {
+        let LeaseReply::Batch(_) = board.lease("w2", Duration::ZERO) else {
             panic!("expected requeued batch");
         };
         // w1's completion lands after the requeue: still accepted (the
@@ -626,7 +657,7 @@ mod tests {
         let (s1, r1) = run_slot(8);
         let (s2, r2) = run_slot(12);
         board.publish("r0", vec![vec![s1.clone(), s2.clone()]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         let reply = board.reconcile("w1", "r0", a.batch, &[None, None]);
@@ -657,7 +688,7 @@ mod tests {
         let board = ClusterBoard::new(Duration::from_secs(60));
         let (s1, r1) = run_slot(8);
         board.publish("r0", vec![vec![s1]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         board
@@ -677,7 +708,7 @@ mod tests {
         let (s1, _) = run_slot(8);
         let (_, wrong) = run_slot(12);
         board.publish("r0", vec![vec![s1]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         // Wrong content identity for the slot.
@@ -740,7 +771,7 @@ mod tests {
         let board = ClusterBoard::new(Duration::from_secs(60));
         let (s1, r1) = run_slot(8);
         board.publish("r0", vec![vec![s1]]);
-        let LeaseReply::Batch(a) = board.lease("w1") else {
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
             panic!("expected batch");
         };
         board.withdraw("r0");
@@ -752,6 +783,85 @@ mod tests {
                 .unwrap()
                 .stale
         );
-        assert!(matches!(board.lease("w1"), LeaseReply::Idle { .. }));
+        assert!(matches!(
+            board.lease("w1", Duration::ZERO),
+            LeaseReply::Idle { .. }
+        ));
+    }
+
+    /// Run `f` on another thread once a lease is blocked on `board`: a
+    /// lease holds the lock from `touch_worker` until it waits, so a
+    /// worker visible from outside the lock is a worker already waiting.
+    fn once_waiting(
+        board: &Arc<ClusterBoard>,
+        f: impl FnOnce(&ClusterBoard) + Send + 'static,
+    ) -> std::thread::JoinHandle<()> {
+        let board = Arc::clone(board);
+        std::thread::spawn(move || {
+            while board.stats().workers == 0 {
+                std::thread::yield_now();
+            }
+            f(&board);
+        })
+    }
+
+    #[test]
+    fn a_blocked_lease_takes_a_batch_published_meanwhile() {
+        let board = Arc::new(ClusterBoard::new(Duration::from_secs(60)));
+        let (s1, _) = run_slot(8);
+        let publisher = once_waiting(&board, move |b| b.publish("r0", vec![vec![s1]]));
+        let began = Instant::now();
+        let reply = board.lease("w1", Duration::from_secs(5));
+        publisher.join().unwrap();
+        assert!(matches!(reply, LeaseReply::Batch(_)), "got {reply:?}");
+        assert!(began.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn an_empty_board_answers_idle_at_the_end_of_the_window() {
+        let board = ClusterBoard::new(Duration::from_secs(60));
+        let began = Instant::now();
+        let reply = board.lease("w1", Duration::from_millis(50));
+        assert_eq!(
+            reply,
+            LeaseReply::Idle {
+                retry_ms: LEASE_WAIT.as_millis() as u64
+            }
+        );
+        assert!(began.elapsed() >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn drain_releases_a_blocked_lease_with_draining() {
+        let board = Arc::new(ClusterBoard::new(Duration::from_secs(60)));
+        let drainer = once_waiting(&board, ClusterBoard::drain);
+        let began = Instant::now();
+        let reply = board.lease("w1", Duration::from_secs(5));
+        drainer.join().unwrap();
+        assert_eq!(reply, LeaseReply::Draining);
+        assert!(began.elapsed() < Duration::from_secs(2));
+        // Pending work does not matter once draining.
+        let (s1, _) = run_slot(8);
+        board.publish("r0", vec![vec![s1]]);
+        assert_eq!(board.lease("w2", Duration::ZERO), LeaseReply::Draining);
+    }
+
+    #[test]
+    fn a_lease_expiring_while_another_worker_waits_goes_to_that_worker() {
+        let board = ClusterBoard::new(Duration::from_millis(100));
+        let (s1, _) = run_slot(8);
+        board.publish("r0", vec![vec![s1]]);
+        let LeaseReply::Batch(a) = board.lease("w1", Duration::ZERO) else {
+            panic!("expected batch");
+        };
+        // w1 never heartbeats; w2's wait wakes at w1's deadline, not at
+        // the end of its 5 s window.
+        let began = Instant::now();
+        let LeaseReply::Batch(b) = board.lease("w2", Duration::from_secs(5)) else {
+            panic!("expected the expired batch");
+        };
+        assert!(began.elapsed() < Duration::from_secs(2));
+        assert_eq!(b.batch, a.batch);
+        assert_eq!(board.stats().leases_expired, 1);
     }
 }

@@ -77,9 +77,9 @@ pub struct BatchAssignment {
 /// The coordinator's answer to `POST /internal/lease`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseReply {
-    /// No work right now; ask again after roughly `retry_ms`.
+    /// No work arrived while the coordinator held the lease open.
     Idle {
-        /// Suggested poll delay.
+        /// How long the coordinator held the lease open, in milliseconds.
         retry_ms: u64,
     },
     /// The coordinator is shutting down; the worker should exit.

@@ -64,9 +64,6 @@ pub struct WorkerConfig {
     pub id: String,
     /// Engine threads for batch execution.
     pub threads: usize,
-    /// Poll delay when the coordinator has no work (upper-bounded by the
-    /// coordinator's suggested `retry_ms`).
-    pub poll: Duration,
 }
 
 /// What a worker did over its lifetime (printed on clean exit).
@@ -203,15 +200,14 @@ pub fn run_worker_loop<C: Coordinator>(
                 if errors >= MAX_CONSECUTIVE_ERRORS {
                     return Err(format!("coordinator unreachable: {e}"));
                 }
-                sleep_checking_stop(Duration::from_millis(250), shared);
+                std::thread::sleep(Duration::from_millis(250));
                 continue;
             }
         };
         match reply {
             LeaseReply::Draining => break,
-            LeaseReply::Idle { retry_ms } => {
-                sleep_checking_stop(cfg.poll.min(Duration::from_millis(retry_ms)), shared);
-            }
+            // The coordinator already waited for work on our behalf.
+            LeaseReply::Idle { .. } => {}
             LeaseReply::Batch(assignment) => {
                 process_batch(
                     transport,
@@ -369,20 +365,10 @@ fn trial_of(slot: &SlotSpec) -> Result<TrialSpec, String> {
     })
 }
 
-fn sleep_checking_stop(total: Duration, shared: &WorkerShared) {
-    const TICK: Duration = Duration::from_millis(25);
-    let mut slept = Duration::ZERO;
-    while slept < total && !shared.stopping() {
-        let step = TICK.min(total - slept);
-        std::thread::sleep(step);
-        slept += step;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::board::ClusterBoard;
+    use crate::board::{ClusterBoard, LEASE_WAIT};
     use crate::plan::plan_batches;
     use disp_campaign::grid::trial_seed;
 
@@ -396,7 +382,7 @@ mod tests {
     impl Coordinator for LocalTransport {
         fn lease(&mut self, worker: &str, stats: WorkerStats) -> Result<LeaseReply, String> {
             self.board.note_worker_stats(worker, stats);
-            Ok(self.board.lease(worker))
+            Ok(self.board.lease(worker, LEASE_WAIT))
         }
         fn heartbeat(
             &mut self,
@@ -469,7 +455,6 @@ mod tests {
         let cfg = WorkerConfig {
             id: "w1".into(),
             threads: 2,
-            poll: Duration::from_millis(10),
         };
         let shared = WorkerShared::new();
         // Drain: once the board is idle, stop the loop from another thread.
@@ -526,7 +511,6 @@ mod tests {
         let cfg = WorkerConfig {
             id: "w1".into(),
             threads: 1,
-            poll: Duration::from_millis(10),
         };
         let shared = WorkerShared::new();
         let stopper = {

@@ -20,13 +20,19 @@
 //! for both.
 
 use disp_core::extras::spacer::SpacerFactory;
-use disp_core::scenario::{Registry, ScenarioSpec, Schedule};
-use disp_core::verify::{check_dispersion, check_dispersion_at, envelope};
+use disp_core::scenario::{Registry, ScenarioSpec};
 use disp_graph::generators::GraphFamily;
+use disp_sim::{ActivationCtx, AgentId, AgentProtocol, AsyncRunner, Outcome, SyncRunner, World};
+// The grid tests are compiled out under the injection hooks; each hook's
+// own test keeps what it uses.
+#[cfg(any(feature = "inject-orphan", not(feature = "inject-collision")))]
+use disp_core::verify::{check_dispersion, check_dispersion_at};
+#[cfg(not(any(feature = "inject-collision", feature = "inject-orphan")))]
+use disp_core::{scenario::Schedule, verify::envelope};
+#[cfg(not(any(feature = "inject-collision", feature = "inject-orphan")))]
 use disp_rng::mix;
-use disp_sim::{
-    ActivationCtx, AgentId, AgentProtocol, AsyncRunner, Outcome, Placement, SyncRunner, World,
-};
+#[cfg(any(feature = "inject-orphan", not(feature = "inject-collision")))]
+use disp_sim::Placement;
 
 /// Wraps a protocol and checks the settled-collision safety invariant after
 /// every single activation (the "trace hook" of the harness).
@@ -124,6 +130,7 @@ fn run_checked(spec: &ScenarioSpec, registry: &Registry, seed: u64) -> (Outcome,
     (outcome, world, protocol.checks)
 }
 
+#[cfg(not(any(feature = "inject-collision", feature = "inject-orphan")))]
 fn grid_specs() -> Vec<ScenarioSpec> {
     let families = [
         GraphFamily::Line,
@@ -177,6 +184,7 @@ fn grid_specs() -> Vec<ScenarioSpec> {
 /// distance-k predicate, across the schedule families. Kept separate from
 /// [`grid_specs`] because faults are ring-only and stretch run time past
 /// the paper's fault-free envelopes.
+#[cfg(not(any(feature = "inject-collision", feature = "inject-orphan")))]
 fn fault_world_specs() -> Vec<ScenarioSpec> {
     let registry = registry();
     let schedules = [
@@ -225,6 +233,7 @@ fn fault_world_specs() -> Vec<ScenarioSpec> {
     specs
 }
 
+#[cfg(not(any(feature = "inject-collision", feature = "inject-orphan")))]
 fn check_envelopes(spec: &ScenarioSpec, outcome: &Outcome) {
     assert!(
         envelope::memory_logarithmic(outcome, 36.0),

@@ -22,9 +22,8 @@
 //! recomputation.
 
 use disp_campaign::signal;
-use disp_cluster::WorkerShared;
+use disp_cluster::{WorkerConfig, WorkerShared};
 use disp_serve::cache::compact_file;
-use disp_serve::cluster::WorkerProcessConfig;
 use disp_serve::{run_worker, CoordinatorConfig, ServeConfig, Server};
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -185,21 +184,19 @@ fn run_worker_role(coordinator: &str, id: &str, config: &ServeConfig) -> Result<
             shared.request_stop();
         })
     };
-    let cfg = WorkerProcessConfig {
+    let cfg = WorkerConfig {
         id: id.to_string(),
         threads: config.job_threads,
-        cache_dir: config.cache_dir.clone(),
-        poll: Duration::from_millis(200),
     };
     eprintln!(
         "disp-serve: worker {id} dialing {coordinator} ({} engine workers, cache: {})",
         cfg.threads,
-        match &cfg.cache_dir {
+        match &config.cache_dir {
             Some(dir) => dir.display().to_string(),
             None => "in-memory".to_string(),
         },
     );
-    let result = run_worker(coordinator, &cfg, &shared);
+    let result = run_worker(coordinator, &cfg, config.cache_dir.as_deref(), &shared);
     shared.request_stop();
     let _ = relay.join();
     let summary = result?;

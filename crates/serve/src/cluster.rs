@@ -19,6 +19,7 @@ use crate::metrics::Metrics;
 use crate::server::AppState;
 use disp_analysis::json::Json;
 use disp_campaign::telemetry::TrialEvent;
+use disp_cluster::board::LEASE_WAIT;
 use disp_cluster::proto::{
     decode_complete_body, decode_reconcile, decode_worker_ref, encode_complete_body,
     encode_reconcile, encode_worker_ref, CompleteHeader, CompleteReply, LeaseReply, ReconcileReply,
@@ -26,10 +27,9 @@ use disp_cluster::proto::{
 };
 use disp_cluster::{Coordinator, WorkerConfig, WorkerShared, WorkerStats, WorkerSummary};
 use disp_core::scenario::Registry;
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 fn error_body(message: &str) -> Vec<u8> {
     Json::Obj(vec![("error".into(), Json::Str(message.into()))])
@@ -39,8 +39,9 @@ fn error_body(message: &str) -> Vec<u8> {
 
 /// Handle one `POST /internal/<cmd>` request; returns `(status, body)`.
 ///
-/// Answers 404 unless this server was started as a coordinator. During
-/// shutdown, leases answer `Draining` (workers exit cleanly) and
+/// Answers 404 unless this server was started as a coordinator. A lease
+/// with no work pending blocks on the board for up to [`LEASE_WAIT`].
+/// During shutdown, leases answer `Draining` (workers exit cleanly) and
 /// heartbeats answer `ok: false` (in-flight batches are abandoned; their
 /// trials stay in the workers' local caches for the next run).
 pub(crate) fn handle_internal(
@@ -61,11 +62,7 @@ pub(crate) fn handle_internal(
                 if let Some(stats) = stats {
                     board.note_worker_stats(&worker, stats);
                 }
-                let reply = if shutdown.load(Ordering::SeqCst) {
-                    LeaseReply::Draining
-                } else {
-                    board.lease(&worker)
-                };
+                let reply = board.lease(&worker, LEASE_WAIT);
                 (200, reply.encode().into_bytes())
             }
             Err(e) => (400, error_body(&e)),
@@ -220,28 +217,17 @@ impl Coordinator for HttpCoordinator {
     }
 }
 
-/// Configuration of a worker process (`disp-serve --role worker`).
-#[derive(Debug, Clone)]
-pub struct WorkerProcessConfig {
-    /// Worker id, tagged onto every trial it uploads.
-    pub id: String,
-    /// Engine threads for batch execution.
-    pub threads: usize,
-    /// Local cache directory (`None` = in-memory).
-    pub cache_dir: Option<PathBuf>,
-    /// Poll delay when the coordinator has no work.
-    pub poll: Duration,
-}
-
 /// Run a worker against the coordinator at `addr` until `shared` is asked
-/// to stop (SIGTERM) or the coordinator drains. The heartbeat thread gets
-/// its own connection so a long-running batch cannot starve its lease.
+/// to stop (SIGTERM) or the coordinator drains, keeping its local cache in
+/// `cache_dir` (`None` = in-memory). The heartbeat thread gets its own
+/// connection so a long-running batch cannot starve its lease.
 pub fn run_worker(
     addr: &str,
-    cfg: &WorkerProcessConfig,
+    cfg: &WorkerConfig,
+    cache_dir: Option<&Path>,
     shared: &Arc<WorkerShared>,
 ) -> Result<WorkerSummary, String> {
-    let cache = match &cfg.cache_dir {
+    let cache = match cache_dir {
         Some(dir) => TrialCache::open(dir)?,
         None => TrialCache::in_memory(),
     };
@@ -255,18 +241,8 @@ pub fn run_worker(
             disp_cluster::worker::heartbeat_loop(&mut transport, &shared, &worker)
         })
     };
-    let worker_cfg = WorkerConfig {
-        id: cfg.id.clone(),
-        threads: cfg.threads,
-        poll: cfg.poll,
-    };
-    let result = disp_cluster::worker::run_worker_loop(
-        &mut transport,
-        &cache,
-        &registry,
-        &worker_cfg,
-        shared,
-    );
+    let result =
+        disp_cluster::worker::run_worker_loop(&mut transport, &cache, &registry, cfg, shared);
     // End the heartbeat thread whether the loop drained or errored.
     shared.request_stop();
     let _ = heartbeat.join();

@@ -45,7 +45,7 @@ pub mod server;
 
 pub use cache::TrialCache;
 pub use client::{Client, HttpResponse};
-pub use cluster::{run_worker, WorkerProcessConfig};
+pub use cluster::run_worker;
 pub use jobs::{ExecBackend, Job, JobManager, JobSnapshot, JobState, Retention};
 pub use metrics::{parse_metric, Metrics};
 pub use server::{parse_submission, AppState, CoordinatorConfig, ServeConfig, Server};

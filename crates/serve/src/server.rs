@@ -249,6 +249,10 @@ impl Server {
 
     fn drain(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        // Release long-polling leases so their HTTP workers can exit.
+        if let Some(board) = &self.state.cluster {
+            board.drain();
+        }
         if let Some(handle) = self.accept_handle.take() {
             let _ = handle.join();
         }
@@ -354,7 +358,7 @@ fn handle_connection(
         Metrics::inc(&state.metrics.http_requests);
         let keep_alive = req.wants_keep_alive() && !shutdown.load(Ordering::SeqCst);
         let begun = Instant::now();
-        let outcome = route(&req, &mut stream, state, shutdown, keep_alive);
+        let outcome = route(&req, &mut stream, state, shutdown, waiting, keep_alive);
         state
             .metrics
             .http_request_duration_us
@@ -392,6 +396,7 @@ fn route(
     stream: &mut TcpStream,
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
+    waiting: &AtomicUsize,
     keep_alive: bool,
 ) -> std::io::Result<()> {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
@@ -433,6 +438,9 @@ fn route(
         }
         ("POST", ["internal", cmd]) => {
             let (status, body) = cluster::handle_internal(state, shutdown, cmd, &req.body);
+            // A long-polling worker re-leases at once, so its connection never
+            // idles into `read_request`'s yield; under pressure, yield here.
+            let keep_alive = keep_alive && !(*cmd == "lease" && waiting.load(Ordering::SeqCst) > 0);
             respond(stream, state, status, "application/json", &body, keep_alive)
         }
         ("GET", ["trace"]) => serve_trace(req, stream, state, keep_alive),

@@ -13,18 +13,20 @@
 //!    squeezed to one entry, a resubmitted grid is served from the
 //!    worker's *local* cache via the digest handshake, byte-identical,
 //!    without re-executing a single trial.
+//! 4. **Long-poll leases** — idle workers block on the coordinator, yet
+//!    neither starve other clients of HTTP workers nor hold up a drain.
 
 use disp_analysis::json::Json;
 use disp_analysis::TrialRecord;
 use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::run::run_campaign;
-use disp_cluster::{Coordinator, LeaseReply, WorkerShared, WorkerStats, WorkerSummary};
+use disp_cluster::{
+    Coordinator, LeaseReply, WorkerConfig, WorkerShared, WorkerStats, WorkerSummary,
+};
 use disp_core::scenario::{Registry, ScenarioSpec};
 use disp_serve::cache::CacheBudget;
 use disp_serve::cluster::HttpCoordinator;
-use disp_serve::{
-    parse_metric, Client, CoordinatorConfig, ServeConfig, Server, WorkerProcessConfig,
-};
+use disp_serve::{parse_metric, Client, CoordinatorConfig, ServeConfig, Server};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -98,22 +100,20 @@ fn metric(client: &mut Client, name: &str) -> u64 {
     parse_metric(&body, name).unwrap_or_else(|| panic!("metric {name} missing"))
 }
 
+/// A worker loop's stop handle and thread.
+type WorkerHandle = (Arc<WorkerShared>, JoinHandle<Result<WorkerSummary, String>>);
+
 /// A real worker loop on a thread; stopped via its `WorkerShared`.
-fn spawn_worker(
-    addr: &str,
-    id: &str,
-) -> (Arc<WorkerShared>, JoinHandle<Result<WorkerSummary, String>>) {
+fn spawn_worker(addr: &str, id: &str) -> WorkerHandle {
     let shared = WorkerShared::new();
     let handle = {
         let addr = addr.to_string();
-        let cfg = WorkerProcessConfig {
+        let cfg = WorkerConfig {
             id: id.to_string(),
             threads: 1,
-            cache_dir: None,
-            poll: Duration::from_millis(25),
         };
         let shared = Arc::clone(&shared);
-        std::thread::spawn(move || disp_serve::run_worker(&addr, &cfg, &shared))
+        std::thread::spawn(move || disp_serve::run_worker(&addr, &cfg, None, &shared))
     };
     (shared, handle)
 }
@@ -270,5 +270,81 @@ fn a_squeezed_shared_cache_is_refilled_from_worker_caches_not_re_execution() {
         "second run should have been local cache hits, got {}",
         summary.local_hits
     );
+    server.shutdown();
+}
+
+/// Wait up to `limit` for `handle` to finish, then join it.
+fn join_within<T>(handle: JoinHandle<T>, limit: Duration, what: &str) -> T {
+    let deadline = Instant::now() + limit;
+    while !handle.is_finished() {
+        assert!(
+            Instant::now() < deadline,
+            "{what} still running after {limit:?}"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    handle.join().unwrap()
+}
+
+/// Start a coordinator and wait until `workers` idle workers are polling it.
+fn coordinator_with_idle_workers(
+    http_threads: usize,
+    workers: usize,
+) -> (Server, Vec<WorkerHandle>) {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            http_threads,
+            coordinator: Some(CoordinatorConfig::default()),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let spawned: Vec<_> = (1..=workers)
+        .map(|i| spawn_worker(&addr, &format!("w{i}")))
+        .collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.state().cluster.as_ref().unwrap().stats().workers < workers {
+        assert!(Instant::now() < deadline, "workers never reached the board");
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    (server, spawned)
+}
+
+#[test]
+fn a_coordinator_with_long_polling_workers_drains_promptly() {
+    let (server, workers) = coordinator_with_idle_workers(4, 2);
+    let began = Instant::now();
+    server.shutdown();
+    assert!(
+        began.elapsed() < Duration::from_secs(1),
+        "shutdown took {:?}",
+        began.elapsed()
+    );
+    // The blocked leases answered `Draining`: both loops end on their
+    // own, without a stop request.
+    for (_, handle) in workers {
+        let summary = join_within(handle, Duration::from_secs(5), "worker")
+            .expect("worker loop exits cleanly");
+        assert_eq!(summary, WorkerSummary::default());
+    }
+}
+
+#[test]
+fn long_polling_workers_do_not_starve_other_clients() {
+    // One HTTP worker, held by an idle worker's long-poll: a client that
+    // connects meanwhile is served once the poll returns.
+    let (server, workers) = coordinator_with_idle_workers(1, 1);
+    let addr = server.addr().to_string();
+    let probe = std::thread::spawn(move || Client::new(&addr).get("/healthz").map(|r| r.status));
+    assert_eq!(
+        join_within(probe, Duration::from_secs(5), "health probe"),
+        Ok(200)
+    );
+    for (shared, handle) in workers {
+        shared.request_stop();
+        join_within(handle, Duration::from_secs(5), "worker").unwrap();
+    }
     server.shutdown();
 }
