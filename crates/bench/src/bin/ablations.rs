@@ -56,7 +56,8 @@ fn seeker_fraction_study(threads: usize) {
     let (rows, _) = parallel_map(
         caps,
         threads,
-        |_, &cap| {
+        || (),
+        |_, _, &cap| {
             let config = SyncConfig {
                 wait_rounds: 1,
                 max_probers: cap,
@@ -84,7 +85,8 @@ fn wait_length_study(threads: usize) {
     let (rows, _) = parallel_map(
         waits,
         threads,
-        |_, &wait| {
+        || (),
+        |_, _, &wait| {
             let g = generators::random_tree(k, 7);
             let mut world = World::new_rooted(g, k, NodeId(0));
             let mut proto = RootedSyncDisp::with_config(

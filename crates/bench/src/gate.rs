@@ -23,11 +23,11 @@
 //!   within [`DYN_RING_FACTOR`]× of the static trial measured in the same
 //!   run, which caps the cost of the edge-liveness overlay.
 //! * `micro/line256x512/probe-dfs` — 512 tiny trials (rooted `k = 256`
-//!   line) through the batched campaign engine with a per-batch
-//!   `WorldPool`. This is the per-trial-overhead gate: wall clock covers
-//!   setup-dominated workloads, and the allocation axis is divided by the
-//!   trial count so per-trial churn is visible rather than drowned in a
-//!   constant ×512.
+//!   line) through the batched campaign engine, whose worker keeps one
+//!   `WorldPool` across all its batches. This is the per-trial-overhead
+//!   gate: wall clock covers setup-dominated workloads, and the allocation
+//!   axis is divided by the trial count so per-trial churn is visible
+//!   rather than drowned in a constant ×512.
 //!
 //! Measurements are minimums of several full runs — on shared machines
 //! the noise is one-sided, so the fastest sample estimates intrinsic cost
@@ -71,12 +71,13 @@ pub const MICRO_BATCH: usize = 32;
 
 /// The micro workload's campaign: [`MICRO_TRIALS`] repetitions of a small
 /// rooted `line/k=256` SYNC trial, executed through the *batched*
-/// micro-trial engine path ([`run_campaign_observed`]) so each batch of
-/// [`MICRO_BATCH`] trials shares one warm world-allocation pool. This is
-/// the gate's per-trial-overhead probe: the trials are small enough that
-/// setup (graph + world construction, protocol init) is a real fraction of
-/// the cost. Shared with the `bench-gate scaling` subcommand, which runs
-/// the same campaign across thread counts.
+/// micro-trial engine path ([`run_campaign_observed`]): batches of
+/// [`MICRO_BATCH`] trials, all run through the worker's one warm
+/// world-allocation pool. This is the gate's per-trial-overhead probe: the
+/// trials are small enough that setup (graph + world construction,
+/// protocol init) is a real fraction of the cost. Shared with the
+/// `bench-gate scaling` subcommand, which runs the same campaign across
+/// thread counts.
 pub fn micro_campaign_spec() -> CampaignSpec {
     CampaignSpec::custom(
         vec![ScenarioSpec::new(GraphFamily::Line, 256, "probe-dfs").with_schedule(Schedule::Sync)],

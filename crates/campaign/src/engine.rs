@@ -32,30 +32,40 @@ pub struct EngineStats {
 
 /// Map `f` over `items` on `threads` workers with work stealing.
 ///
-/// `f(i, &items[i])` is called exactly once per item; `on_done(i, &result)`
-/// is called from the worker thread immediately after (this is where the
-/// campaign store appends its JSONL line, so a kill can lose at most the
-/// in-flight trials). Results are returned in item order.
-pub fn parallel_map<T, R, F, S>(
+/// `f(&mut state, i, &items[i])` is called exactly once per item;
+/// `on_done(i, &result)` is called from the worker thread immediately
+/// after (this is where the campaign store appends its JSONL line, so a
+/// kill can lose at most the in-flight trials). Results are returned in
+/// item order.
+///
+/// Every worker calls `init` once as it starts and passes that state to
+/// each item it runs (the trial executor keeps one world pool per worker
+/// this way; stateless callers pass `|| ()`). A worker's state lives
+/// exactly as long as the worker, so all of it is dropped before the call
+/// returns.
+pub fn parallel_map<T, W, R, I, F, S>(
     items: Vec<T>,
     threads: usize,
+    init: I,
     f: F,
     on_done: S,
 ) -> (Vec<R>, EngineStats)
 where
     T: Send,
     R: Send,
-    F: Fn(usize, &T) -> R + Sync,
+    I: Fn() -> W + Sync,
+    F: Fn(&mut W, usize, &T) -> R + Sync,
     S: Fn(usize, &R) + Sync,
 {
     let threads = threads.max(1);
     if threads == 1 || items.len() <= 1 {
         let count = items.len();
+        let mut state = init();
         let results = items
             .iter()
             .enumerate()
             .map(|(i, item)| {
-                let r = f(i, item);
+                let r = f(&mut state, i, item);
                 on_done(i, &r);
                 r
             })
@@ -89,9 +99,11 @@ where
             let results = &results;
             let steals = &steals;
             let per_worker = &per_worker;
+            let init = &init;
             let f = &f;
             let on_done = &on_done;
             scope.spawn(move || {
+                let mut state = init();
                 loop {
                     // Local work first.
                     let local = deques[worker].lock().unwrap().pop_front();
@@ -126,7 +138,7 @@ where
                             }
                         }
                     };
-                    let r = f(i, &item);
+                    let r = f(&mut state, i, &item);
                     on_done(i, &r);
                     *results[i].lock().unwrap() = Some(r);
                     per_worker[worker].fetch_add(1, Ordering::Relaxed);
@@ -167,7 +179,8 @@ mod tests {
             let (out, stats) = parallel_map(
                 items,
                 threads,
-                |i, &x| {
+                || (),
+                |_, i, &x| {
                     calls.fetch_add(1, Ordering::Relaxed);
                     x * 2 + i as u64
                 },
@@ -181,7 +194,7 @@ mod tests {
 
     #[test]
     fn results_are_identical_across_thread_counts() {
-        let work = |i: usize, x: &u64| -> u64 {
+        let work = |_: &mut (), i: usize, x: &u64| -> u64 {
             // Uneven cost to provoke stealing.
             let mut acc = *x;
             for _ in 0..(i % 7) * 1000 {
@@ -190,8 +203,8 @@ mod tests {
             acc
         };
         let items: Vec<u64> = (0..100).collect();
-        let (seq, _) = parallel_map(items.clone(), 1, work, |_, _| {});
-        let (par, _) = parallel_map(items, 8, work, |_, _| {});
+        let (seq, _) = parallel_map(items.clone(), 1, || (), work, |_, _| {});
+        let (par, _) = parallel_map(items, 8, || (), work, |_, _| {});
         assert_eq!(seq, par);
     }
 
@@ -201,7 +214,8 @@ mod tests {
         let (_, _) = parallel_map(
             (0..50).collect::<Vec<usize>>(),
             4,
-            |_, &x| x,
+            || (),
+            |_, _, &x| x,
             |i, &r| done.lock().unwrap().push((i, r)),
         );
         let mut seen = done.into_inner().unwrap();
@@ -210,10 +224,38 @@ mod tests {
     }
 
     #[test]
+    fn per_worker_state_spans_the_worker_and_drops_with_the_call() {
+        /// Reports how many items it saw when its worker drops it.
+        struct Tally<'a>(usize, &'a Mutex<Vec<usize>>);
+        impl Drop for Tally<'_> {
+            fn drop(&mut self) {
+                self.1.lock().unwrap().push(self.0);
+            }
+        }
+        for threads in [1, 4] {
+            let dropped = Mutex::new(Vec::new());
+            let (out, _) = parallel_map(
+                (0..64).collect::<Vec<usize>>(),
+                threads,
+                || Tally(0, &dropped),
+                |tally, _, &x| {
+                    tally.0 += 1;
+                    x
+                },
+                |_, _| {},
+            );
+            assert_eq!(out, (0..64).collect::<Vec<usize>>());
+            let dropped = dropped.into_inner().unwrap();
+            assert!((1..=threads).contains(&dropped.len()), "threads={threads}");
+            assert_eq!(dropped.iter().sum::<usize>(), 64, "threads={threads}");
+        }
+    }
+
+    #[test]
     fn empty_and_singleton_inputs() {
-        let (out, _) = parallel_map(Vec::<u8>::new(), 4, |_, &x| x, |_, _| {});
+        let (out, _) = parallel_map(Vec::<u8>::new(), 4, || (), |_, _, &x| x, |_, _| {});
         assert!(out.is_empty());
-        let (out, stats) = parallel_map(vec![9u8], 4, |_, &x| x + 1, |_, _| {});
+        let (out, stats) = parallel_map(vec![9u8], 4, || (), |_, _, &x| x + 1, |_, _| {});
         assert_eq!(out, vec![10]);
         assert_eq!(stats.steals, 0);
     }

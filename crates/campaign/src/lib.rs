@@ -31,8 +31,10 @@
 //!   points), trial expansion and seed derivation.
 //! * [`store`] — the manifest + JSONL checkpoint directory.
 //! * [`run`] — orchestration: skip-completed, execute, stream
-//!   ([`run_campaign`], its fully observed form [`run_campaign_observed`],
-//!   and the cluster worker's [`run_trial_batch`]).
+//!   ([`run_campaign`] and its fully observed form
+//!   [`run_campaign_observed`]), on the one trial executor
+//!   [`execute_trials`] that `disp-serve` jobs and cluster workers call
+//!   too.
 //! * [`telemetry`] — live per-trial events (bounded channel → pluggable
 //!   sink; timing is non-content and lands in a sidecar, never in results).
 //! * [`report`] — per-section tables, scaling fits, CSV series.
@@ -71,7 +73,7 @@ pub use engine::{parallel_map, EngineStats};
 pub use grid::{
     full_ks, quick_ks, section_points, trial_seed, CampaignSpec, Mode, Section, TrialSpec,
 };
-pub use run::{run_campaign, run_campaign_observed, run_trial_batch, RunSummary};
+pub use run::{execute_trials, run_campaign, run_campaign_observed, RunSummary};
 pub use store::{CampaignStore, Manifest, TrialWriter};
 pub use telemetry::{
     trace_to_jsonl, JsonlSink, Telemetry, TelemetryHandle, TelemetrySink, TrialEvent,

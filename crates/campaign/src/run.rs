@@ -5,9 +5,9 @@ use crate::engine::{parallel_map, EngineStats};
 use crate::grid::{CampaignSpec, TrialSpec};
 use crate::store::CampaignStore;
 use crate::telemetry::{timeline_to_jsonl, TelemetryHandle, TimelineSidecar, TrialEvent};
-use disp_analysis::jsonl::dedup_trials;
 use disp_analysis::TrialRecord;
 use disp_core::scenario::Registry;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
@@ -55,17 +55,13 @@ pub fn run_campaign(
 
 /// [`run_campaign`] with every knob and observer the campaign layer has.
 ///
-/// - **Batches.** Work is stolen at the granularity of `batch` contiguous
-///   grid trials (`0` counts as `1`), and each batch runs its trials
-///   sequentially through one [`disp_sim::WorldPool`]: after the batch's
-///   first trial, world construction reuses the pooled buffers. This is
-///   how campaigns of many *small* trials (k ≲ few hundred) amortize
-///   per-trial setup; for grids of big trials keep `batch = 1`. Records
-///   are byte-identical for any batch size and thread count (each trial
-///   depends only on its own seed; the pool contract is state identity).
-///   A batch's records are checkpointed in grid order as it completes, so
-///   a kill loses at most the in-flight batches. The summary's
-///   [`EngineStats::per_worker`] counts batches, the stealing unit.
+/// - **Batches.** The grid's not-yet-checkpointed trials run on
+///   [`execute_trials`]: work is stolen at the granularity of `batch`
+///   contiguous grid trials (`0` counts as `1`), and a batch's records are
+///   checkpointed in grid order as it completes, so a kill loses at most
+///   the in-flight batches. Records are byte-identical for any batch size
+///   and thread count. The summary's [`EngineStats::per_worker`] counts
+///   batches, the stealing unit.
 /// - **Cancellation.** Once `cancel` reads `true`, workers stop *starting*
 ///   trials (the latch is checked per trial, so even a large batch drains
 ///   in microseconds); everything in flight finishes and is checkpointed
@@ -108,58 +104,131 @@ pub fn run_campaign_observed(
             .map_err(|e| format!("scenario '{}': {e}", point.scenario.label()))?;
     }
 
-    let (prior, completed) = match store {
-        Some(store) => {
-            let prior = if store.trials_path().exists() {
-                store.read_trials()?.records
-            } else {
-                Vec::new()
-            };
-            let ids: std::collections::HashSet<String> =
-                prior.iter().map(TrialRecord::trial_id).collect();
-            (prior, ids)
-        }
-        None => (Vec::new(), Default::default()),
+    let prior = match store {
+        Some(store) if store.trials_path().exists() => store.read_trials()?.records,
+        _ => Vec::new(),
     };
-
-    let todo: Vec<&TrialSpec> = grid
-        .iter()
-        .filter(|t| !completed.contains(&t.trial_id()))
-        .collect();
-    let skipped = total - todo.len();
-
-    if let Some(telemetry) = telemetry {
-        // Checkpoint hits are announced up front, in grid order: the store
-        // already holds their outcomes, nothing will execute for them.
-        let by_id: std::collections::HashMap<String, &TrialRecord> =
-            prior.iter().map(|r| (r.trial_id(), r)).collect();
-        for trial in &grid {
-            if let Some(record) = by_id.get(&trial.trial_id()) {
+    let order: Vec<String> = grid.iter().map(TrialSpec::trial_id).collect();
+    let todo: Vec<TrialSpec> = {
+        let held: HashMap<String, &TrialRecord> = prior.iter().map(|r| (r.trial_id(), r)).collect();
+        if let Some(telemetry) = telemetry {
+            // Checkpoint hits are announced up front, in grid order: the
+            // store already holds their outcomes, nothing will execute
+            // for them.
+            for record in order.iter().filter_map(|id| held.get(id)) {
                 telemetry.emit(TrialEvent::cached(record));
             }
         }
-    }
+        grid.into_iter()
+            .zip(&order)
+            .filter(|(_, id)| !held.contains_key(*id))
+            .map(|(trial, _)| trial)
+            .collect()
+    };
 
     let writer = match store {
         Some(store) => Some(store.appender()?),
         None => None,
     };
     let start = Instant::now();
-    // Contiguous runs of `batch` trials are the stealing unit; each runs
-    // sequentially through one warm pool.
-    let batches: Vec<&[&TrialSpec]> = todo.chunks(batch.max(1)).collect();
+    let (executed, stats) = execute_trials(
+        &todo,
+        threads,
+        batch,
+        registry,
+        cancel,
+        telemetry,
+        timelines,
+        |slots| {
+            if let Some(w) = &writer {
+                for (record, _) in slots.iter().flatten() {
+                    w.append(record);
+                }
+            }
+        },
+    );
+    let wall = start.elapsed();
+
+    // Merge prior + fresh records (a fresh record wins over a torn-tail
+    // duplicate) and return them in grid order.
+    let mut by_id: HashMap<String, TrialRecord> =
+        prior.into_iter().map(|r| (r.trial_id(), r)).collect();
+    let mut executed_count = 0;
+    for (record, _) in executed.into_iter().flatten() {
+        by_id.insert(record.trial_id(), record);
+        executed_count += 1;
+    }
+    let ordered: Vec<TrialRecord> = order
+        .iter()
+        .filter_map(|id| by_id.get(id).cloned())
+        .collect();
+
+    Ok((
+        ordered,
+        RunSummary {
+            total,
+            skipped: total - todo.len(),
+            executed: executed_count,
+            wall,
+            stats,
+            cancelled: executed_count < todo.len(),
+        },
+    ))
+}
+
+/// One executed slot: the trial's record and its wall-clock micros, or
+/// `None` when the cancel latch was set before the trial started.
+pub type TrialSlot = Option<(TrialRecord, u64)>;
+
+/// The trial executor: run `trials` on `threads` work-stealing engine
+/// workers. Campaigns ([`run_campaign_observed`]), the `disp-serve` job
+/// executor and the cluster worker all execute trials through this one
+/// call.
+///
+/// - **Batches.** Work is stolen at the granularity of `batch` contiguous
+///   trials (`0` counts as `1`); a batch runs its trials in order and
+///   `on_done` receives its slots the moment it completes (the campaign
+///   store checkpoints there). The returned [`EngineStats::per_worker`]
+///   counts batches.
+/// - **World pools.** Each engine worker keeps one [`disp_sim::WorldPool`]
+///   for the length of the call, so after a worker's first trial world
+///   construction reuses pooled buffers. The pools are dropped when the
+///   call returns: nothing (no world, no graph) outlives it.
+/// - **Cancellation.** The latch is checked before every trial; once set,
+///   the remaining slots come back `None` within microseconds while
+///   in-flight trials finish normally.
+/// - **Observers.** With a telemetry handle, each trial emits
+///   [`TrialEvent::started`] and [`TrialEvent::completed`]; with a
+///   sidecar, each trial records a decimated timeline and appends it as
+///   one JSONL chunk.
+///
+/// Returns one slot per trial, in trial order. Records are byte-identical
+/// for any thread count, batch size, pool state or observer setting: each
+/// trial depends only on the seed its spec carries.
+#[allow(clippy::too_many_arguments)]
+pub fn execute_trials<S>(
+    trials: &[TrialSpec],
+    threads: usize,
+    batch: usize,
+    registry: &Registry,
+    cancel: &AtomicBool,
+    telemetry: Option<&TelemetryHandle>,
+    timelines: Option<&TimelineSidecar>,
+    on_done: S,
+) -> (Vec<TrialSlot>, EngineStats)
+where
+    S: Fn(&[TrialSlot]) + Sync,
+{
     let budget = timelines.map(|_| disp_sim::DEFAULT_TIMELINE_BUDGET);
-    let (executed, stats) = parallel_map(
+    let batches: Vec<&[TrialSpec]> = trials.chunks(batch.max(1)).collect();
+    let (slots, stats) = parallel_map(
         batches,
         threads,
-        |_, batch: &&[&TrialSpec]| {
-            let mut pool = disp_sim::WorldPool::new();
+        disp_sim::WorldPool::new,
+        |pool, _, batch: &&[TrialSpec]| {
             batch
                 .iter()
                 .map(|trial| {
-                    // The latch is checked per trial: a set latch makes
-                    // the remaining queue drain in microseconds while
-                    // in-flight trials complete and checkpoint normally.
                     if cancel.load(Ordering::SeqCst) {
                         return None;
                     }
@@ -169,7 +238,8 @@ pub fn run_campaign_observed(
                     let begun = Instant::now();
                     let (record, timeline) = trial
                         .point
-                        .run_trial_observed(registry, trial.rep, trial.seed, &mut pool, budget);
+                        .run_trial_observed(registry, trial.rep, trial.seed, pool, budget);
+                    let wall_micros = begun.elapsed().as_micros() as u64;
                     if let (Some(sidecar), Some(timeline)) = (timelines, timeline) {
                         sidecar.append(&timeline_to_jsonl(
                             &timeline,
@@ -178,85 +248,15 @@ pub fn run_campaign_observed(
                         ));
                     }
                     if let Some(telemetry) = telemetry {
-                        let wall_micros = begun.elapsed().as_micros() as u64;
                         telemetry.emit(TrialEvent::completed(&record, wall_micros));
                     }
-                    Some(record)
+                    Some((record, wall_micros))
                 })
-                .collect::<Vec<Option<TrialRecord>>>()
+                .collect::<Vec<TrialSlot>>()
         },
-        |_, records: &Vec<Option<TrialRecord>>| {
-            if let Some(w) = &writer {
-                for record in records.iter().flatten() {
-                    w.append(record);
-                }
-            }
-        },
+        |_, slots: &Vec<TrialSlot>| on_done(slots),
     );
-    let wall = start.elapsed();
-
-    // Merge prior + fresh records and return them in grid order.
-    let mut all = prior;
-    let prior_count = all.len();
-    all.reserve(todo.len());
-    all.extend(executed.into_iter().flatten().flatten());
-    let executed_count = all.len() - prior_count;
-    let cancelled = executed_count < todo.len();
-    let all = dedup_trials(all);
-    let by_id: std::collections::HashMap<String, TrialRecord> =
-        all.into_iter().map(|r| (r.trial_id(), r)).collect();
-    let ordered: Vec<TrialRecord> = grid
-        .iter()
-        .filter_map(|t| by_id.get(&t.trial_id()).cloned())
-        .collect();
-
-    Ok((
-        ordered,
-        RunSummary {
-            total,
-            skipped,
-            executed: executed_count,
-            wall,
-            stats,
-            cancelled,
-        },
-    ))
-}
-
-/// Execute an explicit list of trials — a shard batch — on the
-/// work-stealing engine, without grid expansion, store, or telemetry.
-///
-/// This is the batch-granular entry point the cluster worker uses: the
-/// coordinator already expanded and deduplicated the grid, so the worker
-/// receives bare [`TrialSpec`]s and needs only deterministic execution.
-/// Results come back in item order, each paired with its wall-clock
-/// micros; a slot is `None` iff the latch was set before it started (the
-/// lease was lost — the batch's new owner re-executes it).
-///
-/// The records are byte-identical to what [`run_campaign`] would produce
-/// for the same slots: the trial seed is carried in the spec, and the
-/// engine's work stealing never touches result content.
-pub fn run_trial_batch(
-    trials: Vec<TrialSpec>,
-    threads: usize,
-    registry: &Registry,
-    cancel: &AtomicBool,
-) -> Vec<Option<(TrialRecord, u64)>> {
-    let (results, _stats) = parallel_map(
-        trials,
-        threads,
-        |_, trial: &TrialSpec| {
-            if cancel.load(Ordering::SeqCst) {
-                None
-            } else {
-                let begun = Instant::now();
-                let record = trial.point.run_trial(registry, trial.rep, trial.seed);
-                Some((record, begun.elapsed().as_micros() as u64))
-            }
-        },
-        |_, _: &Option<(TrialRecord, u64)>| {},
-    );
-    results
+    (slots.into_iter().flatten().collect(), stats)
 }
 
 #[cfg(test)]
@@ -570,20 +570,27 @@ mod tests {
         let grid = spec.trials();
         let (campaign, _) = run_campaign(&spec, None, 1, &reg()).unwrap();
         for threads in [1, 4] {
-            let results = run_trial_batch(grid.clone(), threads, &reg(), &AtomicBool::new(false));
-            let lines: Vec<String> = results
-                .iter()
-                .map(|r| r.as_ref().unwrap().0.to_json_line())
-                .collect();
-            let expected: Vec<String> = campaign.iter().map(TrialRecord::to_json_line).collect();
-            assert_eq!(lines, expected, "threads={threads}");
+            for batch in [1, 7] {
+                let none = AtomicBool::new(false);
+                let (results, _) =
+                    execute_trials(&grid, threads, batch, &reg(), &none, None, None, |_| {});
+                let lines: Vec<String> = results
+                    .iter()
+                    .map(|r| r.as_ref().unwrap().0.to_json_line())
+                    .collect();
+                let expected: Vec<String> =
+                    campaign.iter().map(TrialRecord::to_json_line).collect();
+                assert_eq!(lines, expected, "threads={threads} batch={batch}");
+            }
         }
     }
 
     #[test]
     fn trial_batches_honor_the_cancel_latch() {
         let spec = tiny_spec(10);
-        let results = run_trial_batch(spec.trials(), 2, &reg(), &AtomicBool::new(true));
+        let cancel = AtomicBool::new(true);
+        let (results, _) =
+            execute_trials(&spec.trials(), 2, 1, &reg(), &cancel, None, None, |_| {});
         assert!(results.iter().all(Option::is_none));
     }
 

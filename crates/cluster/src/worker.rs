@@ -21,7 +21,7 @@ use crate::proto::{
 };
 use disp_analysis::{ExperimentPoint, TrialRecord};
 use disp_campaign::grid::TrialSpec;
-use disp_campaign::run::run_trial_batch;
+use disp_campaign::run::execute_trials;
 use disp_core::scenario::{Registry, ScenarioSpec};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -295,22 +295,30 @@ fn drive_batch<C: Coordinator>(
             .iter()
             .map(|&i| trial_of(&slots[i]))
             .collect::<Result<_, _>>()?;
-        let results = run_trial_batch(trials, cfg.threads, registry, cancel);
-        if results.iter().any(Option::is_none) {
-            // Lease lost mid-batch; its new owner re-executes. Local work
-            // already done stays cached for the next reconcile.
-            for (&i, result) in need_exec.iter().zip(results) {
-                if let Some((rec, _)) = result {
-                    cache.insert(&rec);
-                    held[i] = Some(rec);
+        let (results, _) = execute_trials(
+            &trials,
+            cfg.threads,
+            1,
+            registry,
+            cancel,
+            None,
+            None,
+            |done| {
+                // Cache as trials finish: if the lease is lost mid-batch,
+                // the work already done stays cached for the next
+                // reconcile.
+                for (rec, _) in done.iter().flatten() {
+                    cache.insert(rec);
                 }
-            }
+            },
+        );
+        if results.iter().any(Option::is_none) {
+            // Lease lost mid-batch; its new owner re-executes.
             summary.abandoned += 1;
             return Ok(());
         }
         for (&i, result) in need_exec.iter().zip(results) {
             let (rec, micros) = result.expect("checked above");
-            cache.insert(&rec);
             wall[i] = micros;
             summary.executed += 1;
             held[i] = Some(rec);

@@ -17,7 +17,7 @@
 //!   the same numbers as one machine-readable JSON object. `--grid micro`
 //!   swaps the builtin grid for a wide grid of many small trials (the
 //!   server-side analogue of the bench gate's micro workload, pushing the
-//!   executor's per-worker world pools), and `--min-rps` turns the
+//!   world pool each engine worker keeps for the length of a job), and `--min-rps` turns the
 //!   measured warm-cache throughput into a pass/fail floor.
 //! * `once` submits one grid, waits for completion and streams the JSONL
 //!   results to stdout (the CI smoke diffs this against an offline
@@ -92,8 +92,8 @@ struct Flags {
 /// The `--grid micro` grid: many small trials across graph families,
 /// schedules and both algorithms — the serve-path analogue of the bench
 /// gate's micro workload. Every trial is tiny, so the executor's cost is
-/// dominated by per-trial setup, which is exactly what the per-worker
-/// world pools are for.
+/// dominated by per-trial setup, which is exactly what each engine
+/// worker's per-job world pool is for.
 fn micro_grid() -> Vec<String> {
     [
         "line/k256/rooted/sync/probe-dfs",

@@ -312,7 +312,9 @@ fn decode_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, String> {
             }
             return Ok(Some((body, pos + 2)));
         }
-        if body.len() + size > MAX_BODY_BYTES {
+        // `body.len() <= MAX_BODY_BYTES` always, so this cannot wrap the
+        // way `body.len() + size` does for a size near `usize::MAX`.
+        if size > MAX_BODY_BYTES - body.len() {
             return Err("request body too large".into());
         }
         if buf.len() < pos + size + 2 {
@@ -466,6 +468,11 @@ mod tests {
         assert!(decode_chunked(b"0\r\nx-trailer: 1\r\n\r\n").is_err());
         let oversized = format!("{:x}\r\n", MAX_BODY_BYTES + 1);
         assert!(decode_chunked(oversized.as_bytes()).is_err());
+        // A size that wraps `body.len() + size` past `usize::MAX`.
+        assert_eq!(
+            decode_chunked(b"5\r\nhello\r\nfffffffffffffffd\r\n"),
+            Err("request body too large".to_string())
+        );
     }
 
     #[test]

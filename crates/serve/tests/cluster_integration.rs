@@ -273,6 +273,77 @@ fn a_squeezed_shared_cache_is_refilled_from_worker_caches_not_re_execution() {
     server.shutdown();
 }
 
+#[test]
+fn a_duplicated_label_is_sharded_once_but_fills_every_slot() {
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServeConfig {
+            http_threads: 2,
+            coordinator: Some(CoordinatorConfig {
+                batch_size: 2,
+                lease_ttl: Duration::from_secs(10),
+            }),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+    let (shared, handle) = spawn_worker(&addr, "w1");
+    let labels = [
+        "star/k8/rooted/sync/probe-dfs",
+        "rtree/k8/rooted/async-rand0.7/ks-dfs",
+        "star/k8/rooted/sync/probe-dfs",
+    ];
+    let reps = 2;
+    let submission = Json::Obj(vec![
+        (
+            "scenarios".into(),
+            Json::Arr(labels.iter().map(|l| Json::Str(l.to_string())).collect()),
+        ),
+        ("reps".into(), Json::Num(reps as f64)),
+        ("seed".into(), Json::Num(7.0)),
+    ]);
+    let mut client = Client::new(&addr);
+    let resp = client.post_json("/runs", &submission).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.text());
+    let id = resp
+        .json()
+        .unwrap()
+        .get("id")
+        .and_then(Json::as_str)
+        .unwrap()
+        .to_string();
+    let status = wait_done(&mut client, &id);
+
+    let scenarios: Vec<ScenarioSpec> = labels
+        .iter()
+        .map(|l| ScenarioSpec::from_label(l).unwrap())
+        .collect();
+    let spec = CampaignSpec::custom(scenarios, reps, 7);
+    let (records, _) = run_campaign(&spec, None, 1, &Registry::builtin()).unwrap();
+    let expected: String = records
+        .iter()
+        .map(|r| format!("{}\n", r.to_json_line()))
+        .collect();
+    assert_eq!(
+        client.get(&format!("/runs/{id}/results")).unwrap().text(),
+        expected
+    );
+    let total = (labels.len() * reps) as u64;
+    let distinct = (2 * reps) as u64;
+    assert_eq!(status.get("total").and_then(Json::as_u64), Some(total));
+    assert_eq!(status.get("done").and_then(Json::as_u64), Some(total));
+    assert_eq!(
+        status.get("executed").and_then(Json::as_u64),
+        Some(distinct)
+    );
+    assert_eq!(metric(&mut client, "disp_trials_executed_total"), distinct);
+
+    shared.request_stop();
+    assert_eq!(handle.join().unwrap().unwrap().executed, distinct);
+    server.shutdown();
+}
+
 /// Wait up to `limit` for `handle` to finish, then join it.
 fn join_within<T>(handle: JoinHandle<T>, limit: Duration, what: &str) -> T {
     let deadline = Instant::now() + limit;

@@ -509,3 +509,17 @@ fn timeline_endpoints_use_the_shared_encoder_and_track_job_progress() {
     assert_eq!(client.get("/runs/r999/timeline").unwrap().status, 404);
     server.shutdown();
 }
+
+#[test]
+fn a_deeply_nested_body_is_a_400_and_the_server_keeps_serving() {
+    // Before the parser's nesting cap, this body overflowed the HTTP
+    // worker's stack and aborted the whole process.
+    let server = Server::start("127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = Client::new(&server.addr().to_string());
+    let body = "[".repeat(100_000).into_bytes();
+    let resp = client.request("POST", "/runs", Some(body)).unwrap();
+    assert_eq!(resp.status, 400);
+    assert!(resp.text().contains("nesting"), "{}", resp.text());
+    assert_eq!(client.get("/healthz").unwrap().status, 200);
+    server.shutdown();
+}
