@@ -32,6 +32,7 @@ use disp_campaign::telemetry::{
 };
 use disp_core::scenario::{grammar_help, Observe, Registry, ScenarioSpec};
 use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::atomic::AtomicBool;
@@ -50,7 +51,7 @@ fn main() -> ExitCode {
             Ok(())
         }
         Some("--help" | "-h" | "help") | None => {
-            print!("{}", USAGE);
+            emit(USAGE);
             Ok(())
         }
         Some(other) => Err(format!("unknown subcommand '{other}'\n\n{USAGE}")),
@@ -61,6 +62,24 @@ fn main() -> ExitCode {
             eprintln!("disp-campaign: {message}");
             ExitCode::FAILURE
         }
+    }
+}
+
+/// Write `text` to stdout; every byte the CLI prints goes through here. A
+/// reader that stops early (`| head`, `| grep -q`) is not a failure: on a
+/// broken pipe the process exits 0 at once, as a filter ended by SIGPIPE
+/// would. Any other write error exits 1 with a message.
+fn emit(text: &str) {
+    let mut stdout = std::io::stdout().lock();
+    if let Err(e) = stdout
+        .write_all(text.as_bytes())
+        .and_then(|()| stdout.flush())
+    {
+        if e.kind() == ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("disp-campaign: write stdout: {e}");
+        std::process::exit(1);
     }
 }
 
@@ -450,7 +469,7 @@ fn cmd_trace(args: &[String], registry: &Registry) -> Result<(), String> {
                 path.display()
             );
         }
-        None => print!("{jsonl}"),
+        None => emit(&jsonl),
     }
     eprintln!(
         "outcome: dispersed={} moves={} time={}",
@@ -502,7 +521,7 @@ fn cmd_timeline(args: &[String], registry: &Registry) -> Result<(), String> {
                 path.display()
             );
         }
-        None => print!("{jsonl}"),
+        None => emit(&jsonl),
     }
     eprintln!(
         "outcome: dispersed={} moves={} time={}",
@@ -524,7 +543,7 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
             path.display()
         )
     })?;
-    println!("# Timelines ({})\n", path.display());
+    emit(&format!("# Timelines ({})\n\n", path.display()));
     let mut scenario = String::new();
     let mut seed = 0u64;
     let mut settled: Vec<f64> = Vec::new();
@@ -558,10 +577,10 @@ fn render_timelines(store: &CampaignStore) -> Result<(), String> {
             Some("timeline_end") => {
                 let spark = disp_analysis::sparkline_scaled(&settled, population, 60);
                 let final_settled = settled.last().copied().unwrap_or(0.0);
-                println!(
-                    "{scenario} seed={seed}\n  [{spark}] settled {}/{} at t={}",
+                emit(&format!(
+                    "{scenario} seed={seed}\n  [{spark}] settled {}/{} at t={}\n",
                     final_settled as u64, population as u64, last_time as u64
-                );
+                ));
             }
             _ => {}
         }
@@ -599,7 +618,7 @@ fn cmd_report(args: &[String]) -> Result<(), String> {
 
 fn cmd_scenarios(registry: &Registry) {
     // One source of truth with the server's GET /scenarios endpoint.
-    print!("{}", grammar_help(registry));
+    emit(&grammar_help(registry));
 }
 
 fn render(
@@ -615,20 +634,22 @@ fn render(
             let path = csv_dir.join(format!("{}.csv", section.name));
             std::fs::write(&path, render_section_csv(ms))
                 .map_err(|e| format!("write {}: {e}", path.display()))?;
-            println!("wrote {} ({} rows)", path.display(), ms.len());
+            emit(&format!("wrote {} ({} rows)\n", path.display(), ms.len()));
         }
         return Ok(());
     }
     if flags.format == Format::Json {
-        println!(
-            "{}",
-            campaign_report_json(spec, &sections).to_string_compact()
-        );
+        let doc = campaign_report_json(spec, &sections).to_string_compact();
+        emit(&format!("{doc}\n"));
         return Ok(());
     }
-    println!("# Campaign {} ({} mode)\n", spec.name, spec.mode.label());
+    emit(&format!(
+        "# Campaign {} ({} mode)\n\n",
+        spec.name,
+        spec.mode.label()
+    ));
     for (section, ms) in &sections {
-        println!("{}", render_section_markdown(section, ms));
+        emit(&format!("{}\n", render_section_markdown(section, ms)));
     }
     Ok(())
 }

@@ -5,10 +5,20 @@
 //! always exercised through the same wire code its load numbers are
 //! measured with.
 
+use crate::http::{framing_header, header, parse_response_head, read_message, ChunkWriter};
 use disp_analysis::json::Json;
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
+
+/// Cap on a decoded response body, so a broken or hostile server cannot
+/// make the client buffer without bound. The largest bodies `disp-serve`
+/// sends belong to a job at the
+/// [`MAX_JOB_TRIALS`](crate::server::MAX_JOB_TRIALS) cap of 100 000
+/// trials: its results are one record line per trial (about 400 bytes,
+/// well under 1 KiB), so under 100 MiB, and its event stream carries a
+/// few hundred bytes per trial. 256 MiB holds either with room to spare.
+pub(crate) const MAX_RESPONSE_BYTES: usize = 256 * 1024 * 1024;
 
 /// A parsed HTTP response.
 #[derive(Debug, Clone)]
@@ -24,10 +34,7 @@ pub struct HttpResponse {
 impl HttpResponse {
     /// First header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// Body as UTF-8 (lossy).
@@ -78,22 +85,25 @@ impl Client {
     ///
     /// [`request`]: Client::request
     pub fn post_chunked(&mut self, path: &str, body: &[u8]) -> Result<HttpResponse, String> {
-        let had_connection = self.stream.is_some();
-        match self.try_request_inner("POST", path, body, true) {
-            Ok(resp) => Ok(resp),
-            Err((e, retry_safe)) if had_connection && retry_safe => {
-                self.stream = None;
-                self.try_request_inner("POST", path, body, true)
-                    .map_err(|(e2, _)| format!("{e2} (after stale-connection retry: {e})"))
-            }
-            Err((e, _)) => Err(e),
-        }
+        self.send("POST", path, body, None)
+    }
+
+    /// One request with a `content-length` body (empty for `None`).
+    pub fn request(
+        &mut self,
+        method: &str,
+        path: &str,
+        body: Option<Vec<u8>>,
+    ) -> Result<HttpResponse, String> {
+        let body = body.unwrap_or_default();
+        self.send(method, path, &body, Some(body.len()))
     }
 
     /// One request with a single reconnect retry: a server may legally
     /// close a kept-alive connection between requests (idle expiry, yield
     /// under load, drain), which surfaces as an error on the next
-    /// write/read and is not a real failure.
+    /// write/read and is not a real failure. `length` frames the body as
+    /// in [`framing_header`].
     ///
     /// The retry — including for non-idempotent `POST`s — only happens
     /// when the first attempt was on a *reused* connection and failed
@@ -102,20 +112,20 @@ impl Client {
     /// zero-bytes-then-close means the request was never processed. A
     /// failure after response bytes is never retried: the server may have
     /// acted, so double-submitting would be unsound.
-    pub fn request(
+    fn send(
         &mut self,
         method: &str,
         path: &str,
-        body: Option<Vec<u8>>,
+        body: &[u8],
+        length: Option<usize>,
     ) -> Result<HttpResponse, String> {
         let had_connection = self.stream.is_some();
-        let body = body.as_deref().unwrap_or(&[]);
-        match self.try_request_inner(method, path, body, false) {
+        match self.try_once(method, path, body, length) {
             Ok(resp) => Ok(resp),
             Err((e, retry_safe)) if had_connection && retry_safe => {
                 // Stale keep-alive connection: reconnect once.
                 self.stream = None;
-                self.try_request_inner(method, path, body, false)
+                self.try_once(method, path, body, length)
                     .map_err(|(e2, _)| format!("{e2} (after stale-connection retry: {e})"))
             }
             Err((e, _)) => Err(e),
@@ -124,12 +134,12 @@ impl Client {
 
     /// The error side carries whether a retry is safe (no response bytes
     /// were received before the failure).
-    fn try_request_inner(
+    fn try_once(
         &mut self,
         method: &str,
         path: &str,
         body: &[u8],
-        chunked: bool,
+        length: Option<usize>,
     ) -> Result<HttpResponse, (String, bool)> {
         if self.stream.is_none() {
             let stream = TcpStream::connect(&self.addr)
@@ -143,39 +153,53 @@ impl Client {
             self.stream = Some(stream);
         }
         let stream = self.stream.as_mut().expect("connected above");
-        let head = if chunked {
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: {}\r\ntransfer-encoding: chunked\r\n\r\n",
-                self.addr,
-            )
-        } else {
-            format!(
-                "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n",
-                self.addr,
-                body.len(),
-            )
-        };
-        let mut got_response_bytes = false;
-        let io = (|| -> std::io::Result<HttpResponse> {
-            stream.write_all(head.as_bytes())?;
-            if chunked {
-                // 32 KiB chunks: big enough to amortize framing, small
-                // enough that the server's incremental decoder is actually
-                // exercised by real uploads.
-                for piece in body.chunks(32 * 1024) {
-                    write!(stream, "{:x}\r\n", piece.len())?;
-                    stream.write_all(piece)?;
-                    stream.write_all(b"\r\n")?;
+        let head = format!(
+            "{method} {path} HTTP/1.1\r\nhost: {}\r\n{}\r\n\r\n",
+            self.addr,
+            framing_header(length),
+        );
+        let sent = stream
+            .write_all(head.as_bytes())
+            .and_then(|()| match length {
+                Some(_) => stream.write_all(body).and_then(|()| stream.flush()),
+                None => {
+                    let mut chunks = ChunkWriter::new(&mut *stream);
+                    chunks.write_all(body)?;
+                    chunks.finish()
                 }
-                stream.write_all(b"0\r\n\r\n")?;
-            } else {
-                stream.write_all(body)?;
-            }
-            stream.flush()?;
-            read_response(stream, &mut got_response_bytes)
-        })();
-        match io {
-            Ok(resp) => {
+            });
+        let mut got_response_bytes = false;
+        let received = sent.map_err(|e| e.to_string()).and_then(|()| {
+            let mut chunk = [0u8; 8192];
+            let pull = |buf: &mut Vec<u8>| loop {
+                match stream.read(&mut chunk) {
+                    Ok(0) => return Ok(false),
+                    Ok(n) => {
+                        got_response_bytes = true;
+                        buf.extend_from_slice(&chunk[..n]);
+                        return Ok(true);
+                    }
+                    Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                    Err(e) => return Err(e.to_string()),
+                }
+            };
+            let mut buf = Vec::new();
+            read_message(
+                &mut buf,
+                "response",
+                MAX_RESPONSE_BYTES,
+                parse_response_head,
+                pull,
+            )?
+            .ok_or_else(|| "EOF before response head".to_string())
+        });
+        match received {
+            Ok(((status, headers), body)) => {
+                let resp = HttpResponse {
+                    status,
+                    headers,
+                    body,
+                };
                 if resp
                     .header("connection")
                     .is_some_and(|v| v.eq_ignore_ascii_case("close"))
@@ -188,132 +212,6 @@ impl Client {
                 self.stream = None;
                 Err((format!("{method} {path}: {e}"), !got_response_bytes))
             }
-        }
-    }
-}
-
-fn read_response(stream: &mut TcpStream, got_any: &mut bool) -> std::io::Result<HttpResponse> {
-    let mut buf = Vec::new();
-    let head_end = loop {
-        if let Some(i) = buf.windows(4).position(|w| w == b"\r\n\r\n") {
-            break i + 4;
-        }
-        let mut chunk = [0u8; 8192];
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "EOF before response head",
-                ))
-            }
-            Ok(n) => {
-                *got_any = true;
-                buf.extend_from_slice(&chunk[..n]);
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    };
-    let head = std::str::from_utf8(&buf[..head_end])
-        .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "head is not UTF-8"))?;
-    let mut lines = head.split("\r\n");
-    let status_line = lines.next().unwrap_or("");
-    let status: u16 = status_line
-        .split(' ')
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| {
-            std::io::Error::new(
-                ErrorKind::InvalidData,
-                format!("bad status line '{status_line}'"),
-            )
-        })?;
-    let mut headers = Vec::new();
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        }
-    }
-    let mut rest = buf.split_off(head_end);
-    let header = |name: &str| {
-        headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
-    };
-    let body = if header("transfer-encoding").is_some_and(|v| v.eq_ignore_ascii_case("chunked")) {
-        read_chunked(stream, &mut rest)?
-    } else {
-        let len: usize = header("content-length")
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0);
-        while rest.len() < len {
-            let mut chunk = [0u8; 8192];
-            match stream.read(&mut chunk) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        ErrorKind::UnexpectedEof,
-                        "EOF mid-body",
-                    ))
-                }
-                Ok(n) => rest.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        rest.truncate(len);
-        rest
-    };
-    Ok(HttpResponse {
-        status,
-        headers,
-        body,
-    })
-}
-
-/// Decode a chunked body; `rest` holds bytes already read past the head.
-fn read_chunked(stream: &mut TcpStream, rest: &mut Vec<u8>) -> std::io::Result<Vec<u8>> {
-    let mut body = Vec::new();
-    loop {
-        // Read until we have a full size line.
-        let line_end = loop {
-            if let Some(i) = rest.windows(2).position(|w| w == b"\r\n") {
-                break i;
-            }
-            read_more(stream, rest)?;
-        };
-        let size_line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
-        let size = usize::from_str_radix(size_line.trim(), 16)
-            .map_err(|_| std::io::Error::new(ErrorKind::InvalidData, "bad chunk size"))?;
-        rest.drain(..line_end + 2);
-        while rest.len() < size + 2 {
-            read_more(stream, rest)?;
-        }
-        body.extend_from_slice(&rest[..size]);
-        rest.drain(..size + 2); // chunk data + trailing CRLF
-        if size == 0 {
-            return Ok(body);
-        }
-    }
-}
-
-fn read_more(stream: &mut TcpStream, buf: &mut Vec<u8>) -> std::io::Result<()> {
-    let mut chunk = [0u8; 8192];
-    loop {
-        match stream.read(&mut chunk) {
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    ErrorKind::UnexpectedEof,
-                    "EOF mid-chunked-body",
-                ))
-            }
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                return Ok(());
-            }
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
         }
     }
 }

@@ -16,7 +16,7 @@
 use crate::cache::TrialCache;
 use crate::client::Client;
 use crate::metrics::Metrics;
-use crate::server::AppState;
+use crate::server::{AppState, Reply};
 use disp_analysis::json::Json;
 use disp_campaign::telemetry::TrialEvent;
 use disp_cluster::board::LEASE_WAIT;
@@ -31,13 +31,7 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-fn error_body(message: &str) -> Vec<u8> {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))])
-        .to_string_compact()
-        .into_bytes()
-}
-
-/// Handle one `POST /internal/<cmd>` request; returns `(status, body)`.
+/// Handle one `POST /internal/<cmd>` request.
 ///
 /// Answers 404 unless this server was started as a coordinator. A lease
 /// with no work pending blocks on the board for up to [`LEASE_WAIT`].
@@ -49,12 +43,12 @@ pub(crate) fn handle_internal(
     shutdown: &AtomicBool,
     cmd: &str,
     body: &[u8],
-) -> (u16, Vec<u8>) {
+) -> Reply {
     let Some(board) = &state.cluster else {
-        return (404, error_body("this server is not a coordinator"));
+        return Reply::error(404, "this server is not a coordinator");
     };
     let Ok(text) = std::str::from_utf8(body) else {
-        return (400, error_body("body is not UTF-8"));
+        return Reply::error(400, "body is not UTF-8");
     };
     match cmd {
         "lease" => match decode_worker_ref(text) {
@@ -63,9 +57,9 @@ pub(crate) fn handle_internal(
                     board.note_worker_stats(&worker, stats);
                 }
                 let reply = board.lease(&worker, LEASE_WAIT);
-                (200, reply.encode().into_bytes())
+                Reply::json(200, reply.encode())
             }
-            Err(e) => (400, error_body(&e)),
+            Err(e) => Reply::error(400, &e),
         },
         "heartbeat" => match decode_worker_ref(text) {
             Ok((worker, Some((job, batch)), stats)) => {
@@ -73,20 +67,18 @@ pub(crate) fn handle_internal(
                     board.note_worker_stats(&worker, stats);
                 }
                 let ok = !shutdown.load(Ordering::SeqCst) && board.heartbeat(&worker, &job, batch);
-                let body = Json::Obj(vec![("ok".into(), Json::Bool(ok))])
-                    .to_string_compact()
-                    .into_bytes();
-                (200, body)
+                let body = Json::Obj(vec![("ok".into(), Json::Bool(ok))]);
+                Reply::json(200, body.to_string_compact())
             }
-            Ok((_, None, _)) => (400, error_body("heartbeat needs job and batch")),
-            Err(e) => (400, error_body(&e)),
+            Ok((_, None, _)) => Reply::error(400, "heartbeat needs job and batch"),
+            Err(e) => Reply::error(400, &e),
         },
         "reconcile" => match decode_reconcile(text) {
             Ok((worker, job, batch, digests)) => {
                 let reply = board.reconcile(&worker, &job, batch, &digests);
-                (200, reply.encode().into_bytes())
+                Reply::json(200, reply.encode())
             }
-            Err(e) => (400, error_body(&e)),
+            Err(e) => Reply::error(400, &e),
         },
         "complete" => match decode_complete_body(text) {
             Ok((header, uploads)) => {
@@ -95,16 +87,16 @@ pub(crate) fn handle_internal(
                         if !reply.stale {
                             absorb_uploads(state, &header, &uploads);
                         }
-                        (200, reply.encode().into_bytes())
+                        Reply::json(200, reply.encode())
                     }
                     // A broken upload (wrong identity, uncovered slot) is
                     // the worker's bug; the lease stays live for a retry.
-                    Err(e) => (400, error_body(&e)),
+                    Err(e) => Reply::error(400, &e),
                 }
             }
-            Err(e) => (400, error_body(&e)),
+            Err(e) => Reply::error(400, &e),
         },
-        _ => (404, error_body("no such endpoint")),
+        _ => Reply::error(404, "no such endpoint"),
     }
 }
 

@@ -1,35 +1,46 @@
-//! Hand-rolled HTTP/1.1: request parsing and response writing over
-//! `std::net::TcpStream`.
+//! Hand-rolled HTTP/1.1 framing for both directions: the server reads
+//! requests and writes responses, [`crate::client`] writes requests and
+//! reads responses, and both go through this one module.
 //!
 //! This container builds offline, so — exactly like `disp-rng` replaced
 //! `rand` and `disp_analysis::json` replaced `serde_json` — this module
 //! carries the small HTTP/1.1 subset the campaign service actually needs
 //! instead of pulling `hyper`:
 //!
-//! * request line + headers + `Content-Length` bodies, plus
-//!   `Transfer-Encoding: chunked` request bodies (the cluster workers
-//!   stream batch results without knowing the length up front);
+//! * head parsing (request line or status line, then header lines) and
+//!   `Content-Length` / `Transfer-Encoding: chunked` body framing, through
+//!   one incremental reader, `read_message`, whose chunked decoder
+//!   resumes where it stopped instead of rescanning decoded chunks;
 //! * persistent connections (HTTP/1.1 keep-alive semantics, honoring
 //!   `Connection: close`), with pipelined requests handled naturally by
 //!   the leftover-buffer design;
-//! * fixed-length responses and `Transfer-Encoding: chunked` streaming for
-//!   the JSONL results endpoint;
-//! * hard limits on header and body size so a confused client cannot make
-//!   the server buffer unboundedly.
+//! * response heads (`write_head`) and one chunk writer
+//!   (`ChunkWriter`) over any `Write`, used for streamed responses and
+//!   for the cluster workers' chunked uploads alike;
+//! * hard limits on head and body size, the body cap chosen by the caller,
+//!   so a confused or hostile peer cannot make either side buffer
+//!   unboundedly.
 //!
-//! Reads run under a short socket timeout and poll a shutdown latch, which
-//! is what makes graceful drain possible: an idle keep-alive connection
-//! notices shutdown within one tick instead of holding a worker forever.
+//! Server reads run under a short socket timeout and poll a shutdown
+//! latch, which is what makes graceful drain possible: an idle keep-alive
+//! connection notices shutdown within one tick instead of holding a worker
+//! forever.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
-/// Upper bound on the request head (request line + headers).
+/// Upper bound on a message head (start line + headers), either direction.
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 /// Upper bound on a request body.
 pub const MAX_BODY_BYTES: usize = 4 * 1024 * 1024;
+/// Payload bytes per chunk [`ChunkWriter`] emits: big enough to amortize
+/// framing, small enough that a streamed response holds one chunk in
+/// memory and real uploads exercise the receiver's incremental decoder.
+pub(crate) const CHUNK_BYTES: usize = 32 * 1024;
+/// Longest chunk-size line (hex size plus extensions) the decoder accepts.
+const MAX_SIZE_LINE: usize = 1024;
 /// Socket read timeout; also the shutdown-poll tick for idle connections.
 pub const READ_TICK: Duration = Duration::from_millis(100);
 /// Idle keep-alive ticks before the server closes the connection (~30 s).
@@ -54,25 +65,19 @@ pub struct Request {
     pub query: Vec<(String, String)>,
     /// Headers with lowercased names, in order of appearance.
     pub headers: Vec<(String, String)>,
-    /// The body (empty unless `Content-Length` said otherwise).
+    /// The decoded body (empty when the request carried none).
     pub body: Vec<u8>,
 }
 
 impl Request {
     /// First header with the given (lowercase) name.
     pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.headers, name)
     }
 
     /// First query parameter with the given name.
     pub fn query_param(&self, name: &str) -> Option<&str> {
-        self.query
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v.as_str())
+        header(&self.query, name)
     }
 
     /// Whether the client asked to keep the connection open (HTTP/1.1
@@ -82,22 +87,26 @@ impl Request {
     }
 }
 
-/// Why [`read_request`] returned without a request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReadOutcome {
-    /// A complete request was parsed.
-    Parsed,
-    /// The peer closed (or went idle past the budget, or shutdown was
-    /// requested while idle) — close the connection without a response.
-    Closed,
+/// Header (or query) name/value pairs, in order of appearance.
+pub(crate) type Headers = Vec<(String, String)>;
+
+/// One framed message: its parsed head and its decoded body.
+pub(crate) type Message<H> = (H, Vec<u8>);
+
+/// First value stored under `name` in a list of name/value pairs.
+pub(crate) fn header<'a>(pairs: &'a [(String, String)], name: &str) -> Option<&'a str> {
+    pairs
+        .iter()
+        .find(|(k, _)| k == name)
+        .map(|(_, v)| v.as_str())
 }
 
-/// Read one request from `stream` into `req_out`, using `buf` as the
-/// connection's carry-over buffer (bytes of a pipelined next request stay
-/// in it between calls).
+/// Read one request from `stream`, using `buf` as the connection's
+/// carry-over buffer (bytes of a pipelined next request stay in it between
+/// calls).
 ///
 /// `waiting` is the number of accepted connections no worker has picked up
-/// yet. When it is nonzero, a request-less connection returns `Closed` so
+/// yet. When it is nonzero, a request-less connection returns `Ok(None)` so
 /// its worker can serve the queue instead — immediately if `yield_idle` is
 /// set (the caller has already served a request on this connection; the
 /// client treats the close as ordinary keep-alive expiry and reconnects),
@@ -107,103 +116,133 @@ pub enum ReadOutcome {
 /// it. Without these yields, `http_threads` silent connections would hold
 /// every worker for the full idle budget.
 ///
-/// Returns `Ok(ReadOutcome::Closed)` on clean EOF / idle shutdown / idle
-/// yield, and `Err(message)` on malformed input (the caller should answer
-/// 400 and close).
-pub fn read_request(
+/// Returns `Ok(None)` on clean EOF / idle shutdown / idle yield (close the
+/// connection without a response), and `Err(message)` on malformed input
+/// (the caller should answer 400 and close).
+pub(crate) fn read_request(
     stream: &mut TcpStream,
     buf: &mut Vec<u8>,
     shutdown: &AtomicBool,
     waiting: &AtomicUsize,
     yield_idle: bool,
-    req_out: &mut Option<Request>,
-) -> Result<ReadOutcome, String> {
-    *req_out = None;
+) -> Result<Option<Request>, String> {
     let mut idle_ticks = 0u32;
-    // Set when the first byte of a request arrives; the whole request must
-    // complete within MAX_REQUEST_WALL of it.
-    let mut request_started: Option<std::time::Instant> = None;
+    // Set when the first byte of a request is buffered; the whole request
+    // must complete within MAX_REQUEST_WALL of it.
+    let mut request_started: Option<Instant> = None;
     let mut chunk = [0u8; 8192];
-    loop {
-        // Try to parse what we already have.
-        if let Some(head_end) = find_head_end(buf) {
-            if head_end > MAX_HEAD_BYTES {
-                return Err("request head too large".into());
-            }
-            let (mut req, body) = parse_head(&buf[..head_end])?;
-            match body {
-                BodyKind::Len(body_len) => {
-                    if body_len > MAX_BODY_BYTES {
-                        return Err("request body too large".into());
-                    }
-                    if buf.len() >= head_end + body_len {
-                        req.body = buf[head_end..head_end + body_len].to_vec();
-                        buf.drain(..head_end + body_len);
-                        *req_out = Some(req);
-                        return Ok(ReadOutcome::Parsed);
-                    }
-                }
-                BodyKind::Chunked => {
-                    if let Some((body, consumed)) = decode_chunked(&buf[head_end..])? {
-                        req.body = body;
-                        buf.drain(..head_end + consumed);
-                        *req_out = Some(req);
-                        return Ok(ReadOutcome::Parsed);
-                    }
-                    // Incomplete chunk stream: cap the raw buffered bytes so
-                    // a sender cannot grow the carry-over buffer unboundedly
-                    // by never terminating the stream.
-                    if buf.len() - head_end > MAX_BODY_BYTES + MAX_HEAD_BYTES {
-                        return Err("request body too large".into());
-                    }
-                }
-            }
-        } else if buf.len() > MAX_HEAD_BYTES {
-            return Err("request head too large".into());
-        }
+    let pull = |buf: &mut Vec<u8>| loop {
         // The wall-clock deadline applies whether the sender is stalling
         // (timeouts below) or dripping bytes fast enough to dodge them.
         if !buf.is_empty() {
-            let started = *request_started.get_or_insert_with(std::time::Instant::now);
+            let started = *request_started.get_or_insert_with(Instant::now);
             if started.elapsed() > MAX_REQUEST_WALL {
-                return Err("timed out mid-request".into());
+                return Err("timed out mid-request".to_string());
             }
         }
-        // Need more bytes.
         match stream.read(&mut chunk) {
-            Ok(0) => {
-                return if buf.is_empty() {
-                    Ok(ReadOutcome::Closed)
-                } else {
-                    Err("connection closed mid-request".into())
-                };
-            }
+            Ok(0) => return Ok(false),
             Ok(n) => {
                 buf.extend_from_slice(&chunk[..n]);
-                // Only the idle budget resets on progress; the wall-clock
-                // request deadline never does.
-                idle_ticks = 0;
+                return Ok(true);
             }
+            // Request-less: this is where graceful drain and the
+            // yield-to-the-queue policy take effect.
             Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
                 if buf.is_empty() {
-                    // Request-less: this is where graceful drain and the
-                    // yield-to-the-queue policy take effect.
-                    if shutdown.load(Ordering::SeqCst) {
-                        return Ok(ReadOutcome::Closed);
-                    }
                     idle_ticks += 1;
-                    if waiting.load(Ordering::SeqCst) > 0
-                        && (yield_idle || idle_ticks > PRESSURE_FIRST_REQUEST_TICKS)
-                    {
-                        return Ok(ReadOutcome::Closed);
-                    }
-                    if idle_ticks > MAX_IDLE_TICKS {
-                        return Ok(ReadOutcome::Closed);
+                    let pressured = waiting.load(Ordering::SeqCst) > 0
+                        && (yield_idle || idle_ticks > PRESSURE_FIRST_REQUEST_TICKS);
+                    if shutdown.load(Ordering::SeqCst) || pressured || idle_ticks > MAX_IDLE_TICKS {
+                        return Ok(false);
                     }
                 }
             }
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(e) => return Err(format!("read: {e}")),
+        }
+    };
+    let framed = read_message(buf, "request", MAX_BODY_BYTES, parse_head, pull)?;
+    Ok(framed.map(|(mut req, body)| {
+        req.body = body;
+        req
+    }))
+}
+
+/// Read one message from the front of `buf`, calling `pull` for more bytes
+/// until its framing completes; the bytes past it (a pipelined next
+/// request) stay in `buf`.
+///
+/// `parse_head` reads the head (start line and headers, through the blank
+/// line) and says how the body is delimited. `pull` appends whatever
+/// arrives and returns `Ok(false)` once no more will: with an empty buffer
+/// that is a clean close (`Ok(None)`), mid-message an error. `what`
+/// (`"request"` or `"response"`) names the message in errors, and the
+/// decoded body may not exceed `body_cap` bytes.
+///
+/// Every state is a function of the bytes seen so far, never of how they
+/// were split across pulls: the head search and the chunk decoder resume
+/// where they stopped, and each cap looks only at a fixed-size window, so
+/// feeding a stream whole or byte by byte gives the same result.
+pub(crate) fn read_message<H>(
+    buf: &mut Vec<u8>,
+    what: &'static str,
+    body_cap: usize,
+    parse_head: impl Fn(&[u8]) -> Result<(H, BodyKind), String>,
+    mut pull: impl FnMut(&mut Vec<u8>) -> Result<bool, String>,
+) -> Result<Option<Message<H>>, String> {
+    let mut scanned = 0usize;
+    let mut framed: Option<(H, usize, BodyReader)> = None;
+    loop {
+        if framed.is_none() {
+            // Only the first MAX_HEAD_BYTES can hold a head; resume the
+            // search three bytes back in case the terminator straddles.
+            let window = &buf[..buf.len().min(MAX_HEAD_BYTES)];
+            let from = scanned.saturating_sub(3);
+            scanned = window.len();
+            match find_head_end(&window[from..]) {
+                Some(end) => {
+                    let head_end = from + end;
+                    let (head, kind) = parse_head(&buf[..head_end])?;
+                    let body = match kind {
+                        BodyKind::Len(len) if len > body_cap => {
+                            return Err(format!("{what} body too large"))
+                        }
+                        BodyKind::Len(len) => BodyReader::Len(len),
+                        BodyKind::Chunked => {
+                            BodyReader::Chunked(ChunkedDecoder::new(what, body_cap))
+                        }
+                    };
+                    framed = Some((head, head_end, body));
+                }
+                None if buf.len() >= MAX_HEAD_BYTES => {
+                    return Err(format!("{what} head too large"))
+                }
+                None => {}
+            }
+        }
+        if let Some((_, head_end, body)) = &mut framed {
+            let raw = &buf[*head_end..];
+            let consumed = match body {
+                BodyReader::Len(len) => (raw.len() >= *len).then_some(*len),
+                BodyReader::Chunked(decoder) => decoder.feed(raw)?,
+            };
+            if let Some(consumed) = consumed {
+                let (head, head_end, body) = framed.take().expect("framed above");
+                let body = match body {
+                    BodyReader::Len(len) => buf[head_end..head_end + len].to_vec(),
+                    BodyReader::Chunked(decoder) => decoder.body,
+                };
+                buf.drain(..head_end + consumed);
+                return Ok(Some((head, body)));
+            }
+        }
+        if !pull(buf)? {
+            return if buf.is_empty() {
+                Ok(None)
+            } else {
+                Err(format!("connection closed mid-{what}"))
+            };
         }
     }
 }
@@ -213,118 +252,195 @@ fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n").map(|i| i + 4)
 }
 
-/// How the request's body is delimited.
+/// How a message's body is delimited.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BodyKind {
+pub(crate) enum BodyKind {
     /// `Content-Length` bytes follow the head (0 when absent).
     Len(usize),
     /// `Transfer-Encoding: chunked` — decode until the 0-chunk.
     Chunked,
 }
 
-/// Parse request line + headers; returns the request (body empty) and how
-/// its body is delimited.
+/// A body being read by [`read_message`].
+enum BodyReader {
+    Len(usize),
+    Chunked(ChunkedDecoder),
+}
+
+/// Parse a request head (request line + headers); returns the request
+/// (body empty) and how its body is delimited.
 fn parse_head(head: &[u8]) -> Result<(Request, BodyKind), String> {
-    let text = std::str::from_utf8(head).map_err(|_| "request head is not UTF-8".to_string())?;
-    let mut lines = text.split("\r\n");
-    let request_line = lines.next().ok_or("empty request")?;
-    let mut parts = request_line.split(' ');
-    let method = parts.next().ok_or("missing method")?.to_string();
+    let (start, headers, body) = parse_fields(head, "request")?;
+    let mut parts = start.split(' ');
+    let method = parts.next().ok_or("missing method")?;
     let target = parts.next().ok_or("missing request target")?;
     let version = parts.next().ok_or("missing HTTP version")?;
     if !version.starts_with("HTTP/1.") {
         return Err(format!("unsupported protocol '{version}'"));
     }
     let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), parse_query(q)),
-        None => (target.to_string(), Vec::new()),
+        Some((p, q)) => (p, parse_query(q)),
+        None => (target, Vec::new()),
     };
+    let req = Request {
+        method: method.to_string(),
+        path: path.to_string(),
+        query,
+        headers,
+        body: Vec::new(),
+    };
+    Ok((req, body))
+}
+
+/// Parse a response head (status line + headers); returns the status, the
+/// headers and how the body is delimited.
+pub(crate) fn parse_response_head(head: &[u8]) -> Result<((u16, Headers), BodyKind), String> {
+    let (start, headers, body) = parse_fields(head, "response")?;
+    let mut parts = start.split(' ');
+    let version = parts.next().unwrap_or("");
+    if !version.starts_with("HTTP/1.") {
+        return Err(format!("unsupported protocol '{version}'"));
+    }
+    let status = parts
+        .next()
+        .filter(|s| s.len() == 3 && s.bytes().all(|b| b.is_ascii_digit()))
+        .and_then(|s| s.parse().ok())
+        .ok_or_else(|| format!("bad status line '{start}'"))?;
+    Ok(((status, headers), body))
+}
+
+/// Split a head into its start line and lowercased headers, and decide
+/// the body framing: `Transfer-Encoding: chunked`, else `Content-Length`
+/// (all digits, given at most once), else no body.
+fn parse_fields(head: &[u8], what: &str) -> Result<(String, Headers, BodyKind), String> {
+    let text = std::str::from_utf8(head).map_err(|_| format!("{what} head is not UTF-8"))?;
+    let mut lines = text.split("\r\n");
+    let start = lines.next().unwrap_or("").to_string();
     let mut headers = Vec::new();
-    for line in lines {
-        if line.is_empty() {
-            continue; // the blank line before \r\n\r\n
-        }
+    for line in lines.filter(|l| !l.is_empty()) {
         let (name, value) = line
             .split_once(':')
             .ok_or_else(|| format!("malformed header line '{line}'"))?;
         headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
     }
-    let req = Request {
-        method,
-        path,
-        query,
-        headers,
-        body: Vec::new(),
-    };
-    if let Some(te) = req.header("transfer-encoding") {
+    let lengths: Vec<&str> = headers
+        .iter()
+        .filter(|(k, _)| k == "content-length")
+        .map(|(_, v)| v.as_str())
+        .collect();
+    if let Some(te) = header(&headers, "transfer-encoding") {
         if !te.eq_ignore_ascii_case("chunked") {
             return Err(format!("unsupported transfer-encoding '{te}'"));
         }
-        if req.header("content-length").is_some() {
+        if !lengths.is_empty() {
             // Smuggling-shaped ambiguity; refuse rather than pick a winner.
             return Err("both content-length and transfer-encoding".into());
         }
-        return Ok((req, BodyKind::Chunked));
+        return Ok((start, headers, BodyKind::Chunked));
     }
-    let body_len = match req.header("content-length") {
-        Some(v) => v
+    let len = match lengths.as_slice() {
+        [] => 0,
+        [v] if !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()) => v
             .parse::<usize>()
             .map_err(|_| format!("bad content-length '{v}'"))?,
-        None => 0,
+        [v] => return Err(format!("bad content-length '{v}'")),
+        _ => return Err("more than one content-length".into()),
     };
-    Ok((req, BodyKind::Len(body_len)))
+    Ok((start, headers, BodyKind::Len(len)))
 }
 
-/// Decode a chunked body from the front of `buf`.
+/// Incremental `Transfer-Encoding: chunked` decoder with a caller-chosen
+/// body cap.
 ///
-/// Returns `Ok(None)` when the stream is not yet complete, and
-/// `Ok(Some((body, consumed)))` — decoded bytes plus how many raw bytes the
-/// stream occupied — once the terminating 0-chunk (and its final CRLF) has
-/// arrived. Chunk-size lines may carry extensions after `;` (ignored);
-/// trailers are not supported. The decoded body is capped at
-/// [`MAX_BODY_BYTES`].
-fn decode_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, String> {
-    let mut body = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        // Find the CRLF ending the chunk-size line.
-        let rest = &buf[pos..];
-        let Some(line_end) = rest.windows(2).position(|w| w == b"\r\n") else {
-            // A size line cannot legitimately be long; bound the search.
-            if rest.len() > 1024 {
-                return Err("malformed chunk size line".into());
+/// `feed` takes the raw stream from its first
+/// byte, as much of it as has arrived; each call resumes at the first
+/// chunk not yet decoded, so a body delivered in many reads is scanned
+/// once. Chunk-size lines may carry extensions after `;` (ignored);
+/// trailers are not supported.
+#[derive(Debug)]
+struct ChunkedDecoder {
+    /// `"request"` or `"response"`, for errors.
+    what: &'static str,
+    /// Most decoded bytes the body may hold.
+    cap: usize,
+    /// Raw bytes consumed by the chunks decoded so far.
+    pos: usize,
+    /// The decoded body so far.
+    body: Vec<u8>,
+}
+
+impl ChunkedDecoder {
+    /// A decoder for a `what` body of at most `cap` decoded bytes.
+    fn new(what: &'static str, cap: usize) -> ChunkedDecoder {
+        ChunkedDecoder {
+            what,
+            cap,
+            pos: 0,
+            body: Vec::new(),
+        }
+    }
+
+    /// Continue decoding `raw`, the stream so far. Returns `Ok(None)` when
+    /// it is not yet complete, and `Ok(Some(consumed))` — how many raw
+    /// bytes the stream occupied — once the terminating 0-chunk (and its
+    /// final CRLF) has arrived, the decoded body then complete.
+    ///
+    /// The raw stream may exceed the body cap only by [`MAX_HEAD_BYTES`] of
+    /// framing; past that the decoder stops looking and answers "too
+    /// large", so a sender cannot grow the receiver's buffer without bound
+    /// by never terminating the stream (or by one-byte chunks with long
+    /// extensions).
+    fn feed(&mut self, raw: &[u8]) -> Result<Option<usize>, String> {
+        let raw_cap = self.cap.saturating_add(MAX_HEAD_BYTES);
+        let view = &raw[..raw.len().min(raw_cap)];
+        loop {
+            // Find the CRLF ending the chunk-size line; a size line cannot
+            // legitimately be long, so bound the search.
+            let rest = &view[self.pos..];
+            let window = &rest[..rest.len().min(MAX_SIZE_LINE + 2)];
+            let Some(line_end) = window.windows(2).position(|w| w == b"\r\n") else {
+                if window.len() > MAX_SIZE_LINE + 1 {
+                    return Err("malformed chunk size line".into());
+                }
+                break;
+            };
+            let line = std::str::from_utf8(&rest[..line_end])
+                .map_err(|_| "chunk size line is not UTF-8".to_string())?;
+            let size_str = line.split(';').next().unwrap_or("").trim();
+            let size = Some(size_str)
+                .filter(|s| !s.is_empty() && s.bytes().all(|b| b.is_ascii_hexdigit()))
+                .and_then(|s| usize::from_str_radix(s, 16).ok())
+                .ok_or_else(|| format!("bad chunk size '{size_str}'"))?;
+            let data = self.pos + line_end + 2;
+            if size == 0 {
+                // Final chunk: expect the terminating CRLF (no trailers).
+                if view.len() < data + 2 {
+                    break;
+                }
+                if &view[data..data + 2] != b"\r\n" {
+                    return Err("trailers are not supported".into());
+                }
+                self.pos = data + 2;
+                return Ok(Some(self.pos));
             }
-            return Ok(None);
-        };
-        let line = std::str::from_utf8(&rest[..line_end])
-            .map_err(|_| "chunk size line is not UTF-8".to_string())?;
-        let size_str = line.split(';').next().unwrap_or("").trim();
-        let size = usize::from_str_radix(size_str, 16)
-            .map_err(|_| format!("bad chunk size '{size_str}'"))?;
-        pos += line_end + 2;
-        if size == 0 {
-            // Final chunk: expect the terminating CRLF (no trailers).
-            if buf.len() < pos + 2 {
-                return Ok(None);
+            // `body.len() <= cap` always, so this cannot wrap the way
+            // `body.len() + size` does for a size near `usize::MAX`.
+            if size > self.cap - self.body.len() {
+                return Err(format!("{} body too large", self.what));
             }
-            if &buf[pos..pos + 2] != b"\r\n" {
-                return Err("trailers are not supported".into());
+            if view.len() < data + size + 2 {
+                break;
             }
-            return Ok(Some((body, pos + 2)));
+            if &view[data + size..data + size + 2] != b"\r\n" {
+                return Err("chunk data not CRLF-terminated".into());
+            }
+            self.body.extend_from_slice(&view[data..data + size]);
+            self.pos = data + size + 2;
         }
-        // `body.len() <= MAX_BODY_BYTES` always, so this cannot wrap the
-        // way `body.len() + size` does for a size near `usize::MAX`.
-        if size > MAX_BODY_BYTES - body.len() {
-            return Err("request body too large".into());
+        if raw.len() > raw_cap {
+            return Err(format!("{} body too large", self.what));
         }
-        if buf.len() < pos + size + 2 {
-            return Ok(None);
-        }
-        body.extend_from_slice(&buf[pos..pos + size]);
-        if &buf[pos + size..pos + size + 2] != b"\r\n" {
-            return Err("chunk data not CRLF-terminated".into());
-        }
-        pos += size + 2;
+        Ok(None)
     }
 }
 
@@ -352,64 +468,113 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Write a complete fixed-length response.
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\nconnection: {}\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        body.len(),
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Begin a chunked response (the JSONL streaming path). Follow with any
-/// number of [`write_chunk`] calls and one [`finish_chunks`].
-pub fn write_chunked_head(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let head = format!(
-        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ntransfer-encoding: chunked\r\nconnection: {}\r\n\r\n",
-        status,
-        reason(status),
-        content_type,
-        if keep_alive { "keep-alive" } else { "close" },
-    );
-    stream.write_all(head.as_bytes())
-}
-
-/// Write one non-empty chunk.
-pub fn write_chunk(stream: &mut TcpStream, data: &[u8]) -> std::io::Result<()> {
-    if data.is_empty() {
-        return Ok(()); // an empty chunk would terminate the stream
+/// The header that says how a body is framed: `Some(len)` is
+/// `content-length`, `None` is `transfer-encoding: chunked` (follow the
+/// head with a [`ChunkWriter`]).
+pub(crate) fn framing_header(length: Option<usize>) -> String {
+    match length {
+        Some(len) => format!("content-length: {len}"),
+        None => "transfer-encoding: chunked".to_string(),
     }
-    write!(stream, "{:x}\r\n", data.len())?;
-    stream.write_all(data)?;
-    stream.write_all(b"\r\n")
 }
 
-/// Terminate a chunked response.
-pub fn finish_chunks(stream: &mut TcpStream) -> std::io::Result<()> {
-    stream.write_all(b"0\r\n\r\n")?;
-    stream.flush()
+/// Write a response head; `length` as in [`framing_header`].
+pub(crate) fn write_head(
+    out: &mut impl Write,
+    status: u16,
+    content_type: &str,
+    length: Option<usize>,
+    keep_alive: bool,
+) -> std::io::Result<()> {
+    let head = format!(
+        "HTTP/1.1 {} {}\r\ncontent-type: {}\r\n{}\r\nconnection: {}\r\n\r\n",
+        status,
+        reason(status),
+        content_type,
+        framing_header(length),
+        if keep_alive { "keep-alive" } else { "close" },
+    );
+    out.write_all(head.as_bytes())
 }
+
+/// `Transfer-Encoding: chunked` framing over any writer: bytes written are
+/// sent as chunks of [`CHUNK_BYTES`]; [`flush`](Write::flush) sends what
+/// is buffered as one (shorter) chunk — a live stream's frame boundary —
+/// and [`finish`](ChunkWriter::finish) ends the body.
+#[derive(Debug)]
+pub(crate) struct ChunkWriter<W: Write> {
+    inner: W,
+    buf: Vec<u8>,
+}
+
+impl<W: Write> ChunkWriter<W> {
+    /// Frame a body onto `inner` (its head already written).
+    pub(crate) fn new(inner: W) -> ChunkWriter<W> {
+        ChunkWriter {
+            inner,
+            buf: Vec::with_capacity(CHUNK_BYTES),
+        }
+    }
+
+    fn emit(&mut self) -> std::io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(()); // an empty chunk would terminate the stream
+        }
+        self.inner
+            .write_all(format!("{:x}\r\n", self.buf.len()).as_bytes())?;
+        self.inner.write_all(&self.buf)?;
+        self.inner.write_all(b"\r\n")?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Send what is buffered, then the terminating 0-chunk, and flush.
+    pub(crate) fn finish(mut self) -> std::io::Result<()> {
+        self.emit()?;
+        self.inner.write_all(b"0\r\n\r\n")?;
+        self.inner.flush()
+    }
+}
+
+impl<W: Write> Write for ChunkWriter<W> {
+    fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
+        let take = data.len().min(CHUNK_BYTES - self.buf.len());
+        self.buf.extend_from_slice(&data[..take]);
+        if self.buf.len() == CHUNK_BYTES {
+            self.emit()?;
+        }
+        Ok(take)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.emit()?;
+        self.inner.flush()
+    }
+}
+
+#[cfg(test)]
+mod fuzz;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Decode a request-side chunked body in one call, as the server's
+    /// reader does once the whole stream has arrived.
+    fn decode_chunked(buf: &[u8]) -> Result<Option<(Vec<u8>, usize)>, String> {
+        let mut decoder = ChunkedDecoder::new("request", MAX_BODY_BYTES);
+        Ok(decoder.feed(buf)?.map(|consumed| (decoder.body, consumed)))
+    }
+
+    /// Read one message from `input` delivered in one piece.
+    fn read_whole<H>(
+        input: &[u8],
+        parse_head: impl Fn(&[u8]) -> Result<(H, BodyKind), String>,
+    ) -> (Result<Option<Message<H>>, String>, Vec<u8>) {
+        let mut buf = input.to_vec();
+        let result = read_message(&mut buf, "request", 64, parse_head, |_| Ok(false));
+        (result, buf)
+    }
 
     #[test]
     fn parses_a_head_with_query_and_headers() {
@@ -486,5 +651,92 @@ mod tests {
         for code in [200u16, 201, 400, 404, 405, 409, 500] {
             assert!(!reason(code).is_empty(), "{code}");
         }
+    }
+
+    #[test]
+    fn response_heads_parse_status_and_framing() {
+        let head =
+            b"HTTP/1.1 201 Created\r\nContent-Type: application/json\r\nContent-Length: 2\r\n\r\n";
+        let ((status, headers), body) = parse_response_head(&head[..]).unwrap();
+        assert_eq!(status, 201);
+        assert_eq!(header(&headers, "content-type"), Some("application/json"));
+        assert_eq!(body, BodyKind::Len(2));
+        let chunked = b"HTTP/1.1 200 OK\r\ntransfer-encoding: chunked\r\n\r\n";
+        assert_eq!(
+            parse_response_head(&chunked[..]).unwrap().1,
+            BodyKind::Chunked
+        );
+        for bad in [
+            &b"HTTP/1.1 2000 OK\r\n\r\n"[..],
+            b"HTTP/1.1 OK\r\n\r\n",
+            b"SPDY/3 200 OK\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: +5\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 5\r\ncontent-length: 5\r\n\r\n",
+            b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+        ] {
+            assert!(
+                parse_response_head(bad).is_err(),
+                "{:?}",
+                String::from_utf8_lossy(bad)
+            );
+        }
+    }
+
+    #[test]
+    fn read_message_frames_bodies_and_keeps_pipelined_bytes() {
+        let raw = b"POST /a HTTP/1.1\r\ncontent-length: 3\r\n\r\nabcGET /b HTTP/1.1\r\n\r\n";
+        let (result, rest) = read_whole(&raw[..], parse_head);
+        let (req, body) = result.unwrap().unwrap();
+        assert_eq!((req.path.as_str(), body.as_slice()), ("/a", &b"abc"[..]));
+        assert_eq!(rest, b"GET /b HTTP/1.1\r\n\r\n");
+        // A body over the caller's cap is refused from the head alone.
+        let big = b"POST /a HTTP/1.1\r\ncontent-length: 65\r\n\r\n";
+        assert_eq!(
+            read_whole(&big[..], parse_head).0.unwrap_err(),
+            "request body too large"
+        );
+        // An empty buffer at EOF is a clean close; a partial message is not.
+        assert!(read_whole(b"", parse_head).0.unwrap().is_none());
+        let cut = read_whole(b"GET / HTTP/1.1\r\n", parse_head).0.unwrap_err();
+        assert_eq!(cut, "connection closed mid-request");
+        let huge = vec![b'a'; MAX_HEAD_BYTES];
+        assert_eq!(
+            read_whole(&huge, parse_head).0.unwrap_err(),
+            "request head too large"
+        );
+    }
+
+    #[test]
+    fn chunk_writer_output_decodes_back_to_the_written_bytes() {
+        let data: Vec<u8> = (0..CHUNK_BYTES * 2 + 17).map(|i| (i % 251) as u8).collect();
+        let mut wire = Vec::new();
+        let mut out = ChunkWriter::new(&mut wire);
+        out.write_all(&data[..10]).unwrap();
+        out.flush().unwrap(); // a frame boundary: one short chunk
+        out.flush().unwrap(); // nothing buffered: no empty (terminating) chunk
+        out.write_all(&data[10..]).unwrap();
+        out.finish().unwrap();
+        assert!(wire.starts_with(b"a\r\n"));
+        assert!(wire.ends_with(b"\r\n0\r\n\r\n"));
+        let mut decoder = ChunkedDecoder::new("response", data.len());
+        assert_eq!(decoder.feed(&wire).unwrap(), Some(wire.len()));
+        assert_eq!(decoder.body, data);
+        // One byte under the body's length is over the cap.
+        let mut tight = ChunkedDecoder::new("response", data.len() - 1);
+        assert_eq!(tight.feed(&wire).unwrap_err(), "response body too large");
+    }
+
+    #[test]
+    fn response_heads_and_chunk_framing_are_byte_stable() {
+        let mut wire = Vec::new();
+        write_head(&mut wire, 404, "application/json", Some(2), true).unwrap();
+        write_head(&mut wire, 200, "application/jsonl", None, false).unwrap();
+        assert_eq!(
+            String::from_utf8(wire).unwrap(),
+            "HTTP/1.1 404 Not Found\r\ncontent-type: application/json\r\ncontent-length: 2\r\n\
+             connection: keep-alive\r\n\r\n\
+             HTTP/1.1 200 OK\r\ncontent-type: application/jsonl\r\ntransfer-encoding: chunked\r\n\
+             connection: close\r\n\r\n"
+        );
     }
 }

@@ -13,13 +13,17 @@
 //!
 //! ## Layers
 //!
-//! * [`http`] — request parsing, keep-alive, chunked streaming.
+//! * [`http`] — HTTP/1.1 framing in both directions: head parsing,
+//!   `Content-Length` and chunked bodies under a caller-chosen cap, and the
+//!   chunk writer. The server reads requests and the client reads
+//!   responses through the same reader.
 //! * [`cache`] — the content-addressed trial cache over a JSONL log
 //!   (promoted to the shared cluster tier in `disp-cluster`; re-exported
 //!   here unchanged).
 //! * [`jobs`] — the job manager feeding the campaign engine (or, with a
 //!   cluster backend, the lease board).
-//! * [`server`] — accept loop, worker pool, endpoint routing.
+//! * [`server`] — accept loop, worker pool, endpoint routing: handlers
+//!   return a reply value and one writer puts every reply on the wire.
 //! * [`cluster`] — the HTTP side of coordinator/worker mode: the
 //!   `/internal/*` handlers and the worker-process runner.
 //! * [`metrics`] — counters and their `/metrics` text exposition.

@@ -24,13 +24,17 @@
 //! channel closes, idle connections notice within one read tick, in-flight
 //! requests finish with `Connection: close`, and the job manager drains —
 //! no request is ever abandoned mid-response.
+//!
+//! Handlers take no socket: `route` returns a `Reply` (status, content
+//! type, and a body that is fixed bytes, chunked JSONL or a job's SSE
+//! stream), and `write_reply` is the one place response bytes are
+//! written and error statuses counted. Because a reply is built before
+//! any byte is written, `dispatch` can catch a panicking handler and
+//! answer 500 instead of losing the HTTP worker.
 
 use crate::cache::{CacheBudget, TrialCache};
 use crate::cluster;
-use crate::http::{
-    finish_chunks, read_request, write_chunk, write_chunked_head, write_response, ReadOutcome,
-    Request, READ_TICK,
-};
+use crate::http::{read_request, write_head, ChunkWriter, Request, READ_TICK};
 use crate::jobs::{ExecBackend, Job, JobManager, JobSnapshot, JobState, Retention};
 use crate::metrics::{Gauges, Metrics};
 use disp_analysis::json::Json;
@@ -39,10 +43,11 @@ use disp_campaign::grid::{CampaignSpec, Mode};
 use disp_campaign::report::{campaign_report_json, section_measurements};
 use disp_campaign::telemetry::{timeline_to_jsonl, trace_to_jsonl};
 use disp_cluster::ClusterBoard;
-use disp_core::scenario::{grammar_help, Observe, Registry, ScenarioSpec};
+use disp_core::scenario::{grammar_help, Observe, Observed, Registry, ScenarioSpec};
 use disp_sim::{WorldPool, DEFAULT_TIMELINE_BUDGET, DEFAULT_TRACE_CAP};
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -130,6 +135,43 @@ pub struct AppState {
 }
 
 impl AppState {
+    /// The cache, metrics, job manager (its executor thread started) and,
+    /// for a coordinator, the lease board that `config` asks for.
+    fn new(config: &ServeConfig) -> Result<AppState, String> {
+        let cache = Arc::new(match &config.cache_dir {
+            Some(dir) => TrialCache::open_with(dir, config.cache_budget)?,
+            None => TrialCache::in_memory_with(config.cache_budget),
+        });
+        let metrics = Arc::new(Metrics::default());
+        let cluster = config
+            .coordinator
+            .map(|c| Arc::new(ClusterBoard::new(c.lease_ttl)));
+        let backend = match (&cluster, config.coordinator) {
+            (Some(board), Some(c)) => ExecBackend::Cluster {
+                board: Arc::clone(board),
+                batch_size: c.batch_size.max(1),
+            },
+            _ => ExecBackend::Local {
+                threads: config.job_threads.max(1),
+            },
+        };
+        let manager = JobManager::start(
+            Arc::clone(&cache),
+            Arc::clone(&metrics),
+            backend,
+            Retention::default(),
+        );
+        Ok(AppState {
+            cache,
+            metrics,
+            manager,
+            workers_busy: AtomicUsize::new(0),
+            http_workers: config.http_threads.max(1),
+            cluster,
+            started: Instant::now(),
+        })
+    }
+
     /// The role this process serves under, as reported by `/healthz`.
     /// Worker processes (`--role worker`) have no HTTP listener, so the
     /// roles observable here are `standalone` and `coordinator`.
@@ -162,38 +204,7 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
-        let cache = Arc::new(match &config.cache_dir {
-            Some(dir) => TrialCache::open_with(dir, config.cache_budget)?,
-            None => TrialCache::in_memory_with(config.cache_budget),
-        });
-        let metrics = Arc::new(Metrics::default());
-        let cluster = config
-            .coordinator
-            .map(|c| Arc::new(ClusterBoard::new(c.lease_ttl)));
-        let backend = match (&cluster, config.coordinator) {
-            (Some(board), Some(c)) => ExecBackend::Cluster {
-                board: Arc::clone(board),
-                batch_size: c.batch_size.max(1),
-            },
-            _ => ExecBackend::Local {
-                threads: config.job_threads.max(1),
-            },
-        };
-        let manager = JobManager::start(
-            Arc::clone(&cache),
-            Arc::clone(&metrics),
-            backend,
-            Retention::default(),
-        );
-        let state = Arc::new(AppState {
-            cache,
-            metrics,
-            manager,
-            workers_busy: AtomicUsize::new(0),
-            http_workers: config.http_threads.max(1),
-            cluster,
-            started: Instant::now(),
-        });
+        let state = Arc::new(AppState::new(&config)?);
         let shutdown = Arc::new(AtomicBool::new(false));
 
         let (conn_tx, conn_rx) = channel::<TcpStream>();
@@ -207,7 +218,7 @@ impl Server {
                 let state = Arc::clone(&state);
                 let shutdown = Arc::clone(&shutdown);
                 let waiting = Arc::clone(&waiting);
-                std::thread::spawn(move || worker_loop(&rx, &state, &shutdown, &waiting))
+                std::thread::spawn(move || worker_loop(&rx, &state, &shutdown, &waiting, route))
             })
             .collect();
 
@@ -296,11 +307,15 @@ fn accept_loop(
     }
 }
 
+/// Builds the reply to one request; [`route`] in production.
+type Handler = fn(&Request, &Arc<AppState>, &AtomicBool, &AtomicUsize) -> Reply;
+
 fn worker_loop(
     rx: &Arc<Mutex<Receiver<TcpStream>>>,
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     waiting: &AtomicUsize,
+    handler: Handler,
 ) {
     loop {
         // Hold the lock only for the recv, not while serving.
@@ -310,7 +325,7 @@ fn worker_loop(
         };
         waiting.fetch_sub(1, Ordering::SeqCst);
         state.workers_busy.fetch_add(1, Ordering::SeqCst);
-        let _ = handle_connection(stream, state, shutdown, waiting);
+        let _ = handle_connection(stream, state, shutdown, waiting, handler);
         state.workers_busy.fetch_sub(1, Ordering::SeqCst);
     }
 }
@@ -320,6 +335,7 @@ fn handle_connection(
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     waiting: &AtomicUsize,
+    handler: Handler,
 ) -> std::io::Result<()> {
     // On BSD-derived platforms accept() propagates the listener's
     // O_NONBLOCK to the accepted socket, where read timeouts would have no
@@ -331,75 +347,151 @@ fn handle_connection(
     stream.set_write_timeout(Some(Duration::from_secs(30)))?;
     stream.set_nodelay(true)?;
     let mut buf = Vec::new();
-    let mut req_slot = None;
     let mut served = 0usize;
     loop {
         // A fresh connection gets its first request read unconditionally;
         // after that, an idle connection yields to queued ones.
-        match read_request(
-            &mut stream,
-            &mut buf,
-            shutdown,
-            waiting,
-            served > 0,
-            &mut req_slot,
-        ) {
-            Ok(ReadOutcome::Parsed) => {}
-            Ok(ReadOutcome::Closed) => return Ok(()),
+        let req = match read_request(&mut stream, &mut buf, shutdown, waiting, served > 0) {
+            Ok(Some(req)) => req,
+            Ok(None) => return Ok(()),
             Err(_) => {
                 Metrics::inc(&state.metrics.http_requests);
-                Metrics::inc(&state.metrics.http_errors);
-                let body = error_json("malformed request");
-                let _ = write_response(&mut stream, 400, "application/json", &body, false);
+                let reply = Reply::error(400, "malformed request");
+                write_reply(&mut stream, reply, false, state, shutdown)?;
                 return Ok(());
             }
-        }
-        let req = req_slot.take().expect("Parsed implies a request");
+        };
         Metrics::inc(&state.metrics.http_requests);
         let keep_alive = req.wants_keep_alive() && !shutdown.load(Ordering::SeqCst);
         let begun = Instant::now();
-        let outcome = route(&req, &mut stream, state, shutdown, waiting, keep_alive);
+        let reply = dispatch(|| handler(&req, state, shutdown, waiting));
+        let kept = write_reply(&mut stream, reply, keep_alive, state, shutdown);
         state
             .metrics
             .http_request_duration_us
             .observe(begun.elapsed().as_micros() as u64);
-        outcome?;
-        served += 1;
-        if !keep_alive {
+        if !kept? {
             return Ok(());
         }
+        served += 1;
     }
 }
 
-fn error_json(message: &str) -> Vec<u8> {
-    Json::Obj(vec![("error".into(), Json::Str(message.into()))])
-        .to_string_compact()
-        .into_bytes()
+/// What a handler answers: status, content type and body, built in full
+/// before any byte is written — which is what lets [`dispatch`] turn a
+/// panicking handler into a 500 — and written by [`write_reply`].
+#[derive(Debug)]
+pub(crate) struct Reply {
+    status: u16,
+    content_type: &'static str,
+    body: Body,
+    /// Answer with `connection: close` whatever the client asked.
+    close: bool,
 }
 
-fn respond(
+/// A [`Reply`] body and its framing.
+#[derive(Debug)]
+enum Body {
+    /// Fixed bytes, sent with `content-length`.
+    Full(Vec<u8>),
+    /// JSONL lines, each followed by `\n`, sent chunked.
+    Jsonl(Arc<Vec<String>>),
+    /// A job's live event stream (SSE), sent chunked until the job
+    /// settles or the server drains.
+    Events(Arc<Job>),
+}
+
+impl Reply {
+    fn new(status: u16, content_type: &'static str, body: Body) -> Reply {
+        Reply {
+            status,
+            content_type,
+            body,
+            close: false,
+        }
+    }
+
+    /// A JSON document with a `content-length`.
+    pub(crate) fn json(status: u16, body: impl Into<Vec<u8>>) -> Reply {
+        Reply::new(status, "application/json", Body::Full(body.into()))
+    }
+
+    /// `{"error": message}` — every error body this server sends.
+    pub(crate) fn error(status: u16, message: &str) -> Reply {
+        let body = Json::Obj(vec![("error".into(), Json::Str(message.into()))]);
+        Reply::json(status, body.to_string_compact())
+    }
+
+    /// A newline-terminated JSONL document (the shared encoders end every
+    /// line with `\n`), sent chunked as one entry.
+    fn jsonl_doc(mut doc: String) -> Reply {
+        let had_newline = doc.pop() == Some('\n');
+        debug_assert!(had_newline, "JSONL documents end with a newline");
+        Reply::new(200, "application/jsonl", Body::Jsonl(Arc::new(vec![doc])))
+    }
+}
+
+/// Build one request's reply with `handler`, containing its panics: a
+/// panicking handler answers 500 with `connection: close` (its state may
+/// be half-updated, so the connection is not reused) and the HTTP worker
+/// goes on serving.
+fn dispatch(handler: impl FnOnce() -> Reply) -> Reply {
+    std::panic::catch_unwind(AssertUnwindSafe(handler)).unwrap_or_else(|_| Reply {
+        close: true,
+        ..Reply::error(500, "internal error")
+    })
+}
+
+/// Write `reply` — the one place response bytes are produced — and count
+/// it in `disp_http_errors_total` when its status is an error. Returns
+/// whether the connection stays open.
+fn write_reply(
     stream: &mut TcpStream,
-    state: &AppState,
-    status: u16,
-    content_type: &str,
-    body: &[u8],
+    reply: Reply,
     keep_alive: bool,
-) -> std::io::Result<()> {
-    if status >= 400 {
+    state: &AppState,
+    shutdown: &AtomicBool,
+) -> std::io::Result<bool> {
+    if reply.status >= 400 {
         Metrics::inc(&state.metrics.http_errors);
     }
-    write_response(stream, status, content_type, body, keep_alive)
+    let keep_alive = keep_alive && !reply.close;
+    let length = match &reply.body {
+        Body::Full(bytes) => Some(bytes.len()),
+        Body::Jsonl(_) | Body::Events(_) => None,
+    };
+    write_head(stream, reply.status, reply.content_type, length, keep_alive)?;
+    match reply.body {
+        Body::Full(bytes) => {
+            stream.write_all(&bytes)?;
+            stream.flush()?;
+        }
+        Body::Jsonl(lines) => {
+            let mut out = ChunkWriter::new(&mut *stream);
+            for line in lines.iter() {
+                out.write_all(line.as_bytes())?;
+                out.write_all(b"\n")?;
+            }
+            out.finish()?;
+        }
+        Body::Events(job) => {
+            let mut out = ChunkWriter::new(&mut *stream);
+            stream_events(&mut out, &job, state, shutdown)?;
+            out.finish()?;
+        }
+    }
+    Ok(keep_alive)
 }
 
 fn route(
     req: &Request,
-    stream: &mut TcpStream,
     state: &Arc<AppState>,
     shutdown: &AtomicBool,
     waiting: &AtomicUsize,
-    keep_alive: bool,
-) -> std::io::Result<()> {
+) -> Reply {
     let segments: Vec<&str> = req.path.split('/').filter(|s| !s.is_empty()).collect();
+    let job = |id: &str| state.manager.get(id);
+    let no_such_run = || Reply::error(404, "no such run");
     match (req.method.as_str(), segments.as_slice()) {
         ("GET", ["healthz"]) => {
             // The literal "ok" stays greppable for smoke checks while the
@@ -410,14 +502,7 @@ fn route(
                 state.started.elapsed().as_secs(),
                 env!("CARGO_PKG_VERSION"),
             );
-            respond(
-                stream,
-                state,
-                200,
-                "application/json",
-                body.as_bytes(),
-                keep_alive,
-            )
+            Reply::json(200, body)
         }
         ("GET", ["metrics"]) => {
             let gauges = Gauges {
@@ -427,34 +512,38 @@ fn route(
                 cluster: state.cluster.as_ref().map(|board| board.stats()),
             };
             let body = state.metrics.render(&state.cache, gauges);
-            respond(
-                stream,
-                state,
-                200,
-                "text/plain",
-                body.as_bytes(),
-                keep_alive,
-            )
+            Reply::new(200, "text/plain", Body::Full(body.into_bytes()))
         }
         ("POST", ["internal", cmd]) => {
-            let (status, body) = cluster::handle_internal(state, shutdown, cmd, &req.body);
+            let mut reply = cluster::handle_internal(state, shutdown, cmd, &req.body);
             // A long-polling worker re-leases at once, so its connection never
             // idles into `read_request`'s yield; under pressure, yield here.
-            let keep_alive = keep_alive && !(*cmd == "lease" && waiting.load(Ordering::SeqCst) > 0);
-            respond(stream, state, status, "application/json", &body, keep_alive)
+            reply.close = *cmd == "lease" && waiting.load(Ordering::SeqCst) > 0;
+            reply
         }
-        ("GET", ["trace"]) => serve_trace(req, stream, state, keep_alive),
-        ("GET", ["timeline"]) => serve_timeline(req, stream, state, keep_alive),
+        ("GET", ["trace"]) => {
+            let bound = ("cap", DEFAULT_TRACE_CAP);
+            one_trial(req, bound, Observe::trace, |observed, _, _| {
+                trace_to_jsonl(&observed.trace.expect("trace requested"))
+            })
+        }
+        ("GET", ["timeline"]) => {
+            let bound = ("budget", DEFAULT_TIMELINE_BUDGET);
+            one_trial(req, bound, Observe::timeline, |observed, spec, seed| {
+                let timeline = observed.timeline.expect("timeline requested");
+                // The gauge tracks the deepest decimation any served
+                // timeline reached: nonzero means budgets are being exercised.
+                let level = timeline.decimation_level() as u64;
+                state
+                    .metrics
+                    .timeline_decimation_level
+                    .fetch_max(level, Ordering::Relaxed);
+                timeline_to_jsonl(&timeline, &spec.label(), seed)
+            })
+        }
         ("GET", ["scenarios"]) => {
-            let body = grammar_help(&Registry::builtin());
-            respond(
-                stream,
-                state,
-                200,
-                "text/plain; charset=utf-8",
-                body.as_bytes(),
-                keep_alive,
-            )
+            let body = grammar_help(&Registry::builtin()).into_bytes();
+            Reply::new(200, "text/plain; charset=utf-8", Body::Full(body))
         }
         ("POST", ["runs"]) => match parse_submission(&req.body) {
             Ok(spec) => match state.manager.submit(spec) {
@@ -465,180 +554,59 @@ fn route(
                         ("state".into(), Json::Str(job.state().label().into())),
                         ("total".into(), Json::Num(job.total as f64)),
                         ("url".into(), Json::Str(format!("/runs/{}", job.id))),
-                    ])
-                    .to_string_compact()
-                    .into_bytes();
-                    respond(stream, state, 201, "application/json", &body, keep_alive)
+                    ]);
+                    Reply::json(201, body.to_string_compact())
                 }
-                Err(e) => respond(
-                    stream,
-                    state,
-                    409,
-                    "application/json",
-                    &error_json(&e),
-                    keep_alive,
-                ),
+                Err(e) => Reply::error(409, &e),
             },
-            Err(e) => respond(
-                stream,
-                state,
-                400,
-                "application/json",
-                &error_json(&e),
-                keep_alive,
-            ),
+            Err(e) => Reply::error(400, &e),
         },
-        ("GET", ["runs", id]) => match state.manager.get(id) {
-            Some(job) => {
-                let body = job_status_json(&job).to_string_compact().into_bytes();
-                respond(stream, state, 200, "application/json", &body, keep_alive)
-            }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "events"]) => match state.manager.get(id) {
-            Some(job) => stream_events(stream, &job, state, shutdown, keep_alive),
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "timeline"]) => match state.manager.get(id) {
-            Some(job) => {
-                let body = job.progress_jsonl();
-                write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-                write_chunk(stream, body.as_bytes())?;
-                finish_chunks(stream)
-            }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("GET", ["runs", id, "results"]) => match state.manager.get(id) {
-            Some(job) => match job.results() {
-                Some(lines) => {
-                    if req.query_param("format") == Some("summary") {
-                        // Memoized on the job: big summaries parse every
-                        // line, and dashboards poll this endpoint.
-                        let doc = job.summary_or_build(|| summary_json(&job.spec, &lines));
-                        respond(
-                            stream,
-                            state,
-                            200,
-                            "application/json",
-                            doc.as_bytes(),
-                            keep_alive,
-                        )
-                    } else {
-                        stream_results(stream, &lines, keep_alive)
-                    }
+        ("GET", ["runs", id]) => job(id).map_or_else(no_such_run, |job| {
+            Reply::json(200, job_status_json(&job).to_string_compact())
+        }),
+        ("GET", ["runs", id, "events"]) => job(id).map_or_else(no_such_run, |job| {
+            Reply::new(200, "text/event-stream", Body::Events(job))
+        }),
+        ("GET", ["runs", id, "timeline"]) => {
+            job(id).map_or_else(no_such_run, |job| Reply::jsonl_doc(job.progress_jsonl()))
+        }
+        ("GET", ["runs", id, "results"]) => job(id).map_or_else(no_such_run, |job| {
+            match job.results() {
+                // Memoized on the job: big summaries parse every line, and
+                // dashboards poll this endpoint.
+                Some(lines) if req.query_param("format") == Some("summary") => {
+                    let doc = job.summary_or_build(|| summary_json(&job.spec, &lines));
+                    Reply::json(200, doc.as_bytes())
                 }
+                Some(lines) => Reply::new(200, "application/jsonl", Body::Jsonl(lines)),
                 None => {
                     let msg = format!("run is {}, results not available", job.state().label());
-                    respond(
-                        stream,
-                        state,
-                        409,
-                        "application/json",
-                        &error_json(&msg),
-                        keep_alive,
-                    )
+                    Reply::error(409, &msg)
                 }
-            },
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        ("DELETE", ["runs", id]) => match state.manager.get(id) {
-            Some(job) => {
-                job.request_cancel();
-                let body = job_status_json(&job).to_string_compact().into_bytes();
-                respond(stream, state, 200, "application/json", &body, keep_alive)
             }
-            None => respond(
-                stream,
-                state,
-                404,
-                "application/json",
-                &error_json("no such run"),
-                keep_alive,
-            ),
-        },
-        (_, ["runs"]) | (_, ["runs", ..]) => respond(
-            stream,
-            state,
-            405,
-            "application/json",
-            &error_json("method not allowed"),
-            keep_alive,
-        ),
-        _ => respond(
-            stream,
-            state,
-            404,
-            "application/json",
-            &error_json("no such endpoint"),
-            keep_alive,
-        ),
+        }),
+        ("DELETE", ["runs", id]) => job(id).map_or_else(no_such_run, |job| {
+            job.request_cancel();
+            Reply::json(200, job_status_json(&job).to_string_compact())
+        }),
+        (_, ["runs"]) | (_, ["runs", ..]) => Reply::error(405, "method not allowed"),
+        _ => Reply::error(404, "no such endpoint"),
     }
 }
 
-/// Stream finished JSONL lines as a chunked response, batching lines into
-/// ~32 KiB chunks so million-trial results do not degenerate into a
-/// syscall per line.
-fn stream_results(
-    stream: &mut TcpStream,
-    lines: &[String],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-    let mut batch = Vec::with_capacity(64 * 1024);
-    for line in lines {
-        batch.extend_from_slice(line.as_bytes());
-        batch.push(b'\n');
-        if batch.len() >= 32 * 1024 {
-            write_chunk(stream, &batch)?;
-            batch.clear();
-        }
-    }
-    write_chunk(stream, &batch)?;
-    finish_chunks(stream)
-}
-
-/// Stream a job's event log as Server-Sent Events over chunked transfer.
-/// Each frame is `data: {json}\n\n`. A subscriber that fell behind the
-/// bounded per-job window gets an `overflow` frame (with the drop count)
-/// before resuming — never an unbounded buffer. The stream ends cleanly
-/// when the job settles and the log is drained, or when the server begins
-/// shutdown — SIGTERM drains subscribers instead of severing them.
+/// Stream a job's event log as Server-Sent Events: each frame is
+/// `data: {json}\n\n`, and each batch of frames goes out as one chunk. A
+/// subscriber that fell behind the bounded per-job window gets an
+/// `overflow` frame (with the drop count) before resuming — never an
+/// unbounded buffer. The stream ends cleanly when the job settles and the
+/// log is drained, or when the server begins shutdown — SIGTERM drains
+/// subscribers instead of severing them.
 fn stream_events(
-    stream: &mut TcpStream,
+    out: &mut ChunkWriter<&mut TcpStream>,
     job: &Job,
     state: &AppState,
     shutdown: &AtomicBool,
-    keep_alive: bool,
 ) -> std::io::Result<()> {
-    write_chunked_head(stream, 200, "text/event-stream", keep_alive)?;
     let mut cursor = 0u64;
     loop {
         let batch = job.events_after(cursor, 2 * READ_TICK);
@@ -648,143 +616,60 @@ fn stream_events(
                 .metrics
                 .events_dropped
                 .fetch_add(batch.dropped, Ordering::Relaxed);
-            let marker = format!(
+            write!(
+                out,
                 "data: {{\"event\":\"overflow\",\"dropped\":{}}}\n\n",
                 batch.dropped
-            );
-            write_chunk(stream, marker.as_bytes())?;
+            )?;
         }
-        let mut frame = String::new();
         for (seq, line) in &batch.events {
-            frame.push_str("data: ");
-            frame.push_str(line);
-            frame.push_str("\n\n");
+            write!(out, "data: {line}\n\n")?;
             cursor = seq + 1;
         }
-        if !frame.is_empty() {
-            write_chunk(stream, frame.as_bytes())?;
-        }
+        out.flush()?;
         if (batch.closed && batch.events.is_empty()) || shutdown.load(Ordering::SeqCst) {
-            return finish_chunks(stream);
+            return Ok(());
         }
     }
 }
 
-/// `GET /trace?scenario=LABEL[&seed=S][&cap=N]`: run one traced trial and
-/// stream its event log as JSONL. The label is validated first (an illegal
-/// scenario is a 400, never a mid-stream failure) and the trace is capped
-/// so a pathological request cannot hold an unbounded log in memory.
-fn serve_trace(
+/// `GET /trace?scenario=LABEL[&seed=S][&cap=N]` and
+/// `GET /timeline?scenario=LABEL[&seed=S][&budget=N]`: run one observed
+/// trial and answer its JSONL document. The two differ only in the
+/// recorder's bound (`(query parameter, default)`), the [`Observe`] built
+/// from it, and the encoder — the same ones `disp-campaign trace` and
+/// `disp-campaign timeline` use, so the bodies are byte-identical to the
+/// CLI's for the same scenario and seed. The label is validated first (an
+/// illegal scenario is a 400, never a mid-stream failure) and the bound
+/// keeps recorder memory finite however long the trial runs.
+fn one_trial(
     req: &Request,
-    stream: &mut TcpStream,
-    state: &AppState,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bad = |stream: &mut TcpStream, msg: &str| {
-        respond(
-            stream,
-            state,
-            400,
-            "application/json",
-            &error_json(msg),
-            keep_alive,
-        )
+    (bound_param, default_bound): (&str, usize),
+    observe: fn(usize) -> Observe,
+    encode: impl FnOnce(Observed, &ScenarioSpec, u64) -> String,
+) -> Reply {
+    let bad = |msg: &str| Reply::error(400, msg);
+    let Some(label) = req.query_param("scenario") else {
+        return bad("missing required query parameter 'scenario'");
     };
-    let label = match req.query_param("scenario") {
-        Some(label) => label,
-        None => return bad(stream, "missing required query parameter 'scenario'"),
-    };
-    let seed = match req.query_param("seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return bad(stream, "seed must be an unsigned integer"),
-        },
+    let seed = match req.query_param("seed").map(str::parse::<u64>) {
+        Some(Ok(seed)) => seed,
+        Some(Err(_)) => return bad("seed must be an unsigned integer"),
         None => 1,
     };
-    let cap = match req.query_param("cap") {
-        Some(c) => match c.parse::<usize>() {
-            Ok(cap) if cap > 0 => cap,
-            _ => return bad(stream, "cap must be a positive integer"),
-        },
-        None => DEFAULT_TRACE_CAP,
+    let bound = match req.query_param(bound_param).map(str::parse::<usize>) {
+        Some(Ok(bound)) if bound > 0 => bound,
+        Some(_) => return bad(&format!("{bound_param} must be a positive integer")),
+        None => default_bound,
     };
     let registry = Registry::builtin();
     let spec = match ScenarioSpec::parse(label, &registry) {
         Ok(spec) => spec,
-        Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
+        Err(e) => return bad(&format!("scenario '{label}': {e}")),
     };
-    match spec.run_observed(&registry, seed, &mut WorldPool::new(), Observe::trace(cap)) {
-        Ok(observed) => {
-            let body = trace_to_jsonl(&observed.trace.expect("trace requested"));
-            write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-            write_chunk(stream, body.as_bytes())?;
-            finish_chunks(stream)
-        }
-        Err(e) => bad(stream, &e.to_string()),
-    }
-}
-
-/// `GET /timeline?scenario=LABEL[&seed=S][&budget=N]`: run one recorded
-/// trial and stream its flight-recorder timeline as JSONL — byte-identical
-/// to `disp-campaign timeline` for the same scenario and seed (both sides
-/// use the shared encoder). The label is validated first, and the budget
-/// bounds recorder memory regardless of how long the trial runs.
-fn serve_timeline(
-    req: &Request,
-    stream: &mut TcpStream,
-    state: &AppState,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bad = |stream: &mut TcpStream, msg: &str| {
-        respond(
-            stream,
-            state,
-            400,
-            "application/json",
-            &error_json(msg),
-            keep_alive,
-        )
-    };
-    let label = match req.query_param("scenario") {
-        Some(label) => label,
-        None => return bad(stream, "missing required query parameter 'scenario'"),
-    };
-    let seed = match req.query_param("seed") {
-        Some(s) => match s.parse::<u64>() {
-            Ok(seed) => seed,
-            Err(_) => return bad(stream, "seed must be an unsigned integer"),
-        },
-        None => 1,
-    };
-    let budget = match req.query_param("budget") {
-        Some(b) => match b.parse::<usize>() {
-            Ok(budget) if budget > 0 => budget,
-            _ => return bad(stream, "budget must be a positive integer"),
-        },
-        None => DEFAULT_TIMELINE_BUDGET,
-    };
-    let registry = Registry::builtin();
-    let spec = match ScenarioSpec::parse(label, &registry) {
-        Ok(spec) => spec,
-        Err(e) => return bad(stream, &format!("scenario '{label}': {e}")),
-    };
-    let observe = Observe::timeline(budget);
-    match spec.run_observed(&registry, seed, &mut WorldPool::new(), observe) {
-        Ok(observed) => {
-            let timeline = observed.timeline.expect("timeline requested");
-            // The gauge tracks the deepest decimation any served timeline
-            // reached: nonzero means budgets are being exercised.
-            let level = timeline.decimation_level() as u64;
-            state
-                .metrics
-                .timeline_decimation_level
-                .fetch_max(level, Ordering::Relaxed);
-            let body = timeline_to_jsonl(&timeline, &spec.label(), seed);
-            write_chunked_head(stream, 200, "application/jsonl", keep_alive)?;
-            write_chunk(stream, body.as_bytes())?;
-            finish_chunks(stream)
-        }
-        Err(e) => bad(stream, &e.to_string()),
+    match spec.run_observed(&registry, seed, &mut WorldPool::new(), observe(bound)) {
+        Ok(observed) => Reply::jsonl_doc(encode(observed, &spec, seed)),
+        Err(e) => bad(&e.to_string()),
     }
 }
 
@@ -979,5 +864,52 @@ mod tests {
             let err = parse_submission(body).unwrap_err();
             assert!(err.contains(needle), "body {:?} → {err}", body);
         }
+    }
+
+    #[test]
+    fn a_panicking_handler_is_a_500_that_closes_the_connection() {
+        let reply = dispatch(|| panic!("handler bug"));
+        assert_eq!((reply.status, reply.close), (500, true));
+        let reply = dispatch(|| Reply::error(404, "no such endpoint"));
+        assert_eq!((reply.status, reply.close), (404, false));
+    }
+
+    #[test]
+    fn an_http_worker_survives_a_panicking_handler() {
+        fn panics(_: &Request, _: &Arc<AppState>, _: &AtomicBool, _: &AtomicUsize) -> Reply {
+            panic!("handler bug")
+        }
+        let config = ServeConfig {
+            http_threads: 1,
+            job_threads: 1,
+            ..ServeConfig::default()
+        };
+        let state = Arc::new(AppState::new(&config).unwrap());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let (tx, rx) = channel();
+        let rx = Arc::new(Mutex::new(rx));
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let waiting = Arc::new(AtomicUsize::new(0));
+        let worker = {
+            let (state, shutdown, waiting) = (state.clone(), shutdown.clone(), waiting.clone());
+            std::thread::spawn(move || worker_loop(&rx, &state, &shutdown, &waiting, panics))
+        };
+        // Two connections in a row: the one worker answers both.
+        for _ in 0..2 {
+            let mut client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            waiting.fetch_add(1, Ordering::SeqCst);
+            tx.send(listener.accept().unwrap().0).unwrap();
+            client.write_all(b"GET /healthz HTTP/1.1\r\n\r\n").unwrap();
+            let mut response = String::new();
+            std::io::Read::read_to_string(&mut client, &mut response).unwrap();
+            assert!(response.starts_with("HTTP/1.1 500 "), "{response}");
+            assert!(response.contains("connection: close\r\n"), "{response}");
+        }
+        drop(tx);
+        worker.join().unwrap();
+        assert_eq!(state.workers_busy.load(Ordering::SeqCst), 0);
+        assert_eq!(state.metrics.http_errors.load(Ordering::SeqCst), 2);
+        assert_eq!(state.metrics.http_requests.load(Ordering::SeqCst), 2);
+        state.manager.shutdown();
     }
 }
